@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json race test alloc-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke
+.PHONY: check build vet lint lint-json race test alloc-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check
 
-check: build vet lint test alloc-check trace-smoke daemon-smoke chaos-smoke metrics-smoke
+check: build vet lint test alloc-check trace-smoke daemon-smoke chaos-smoke snapshot-check
 
 build:
 	$(GO) build ./...
@@ -113,20 +113,25 @@ chaos-smoke:
 # Daemon smoke test: distlapd's -selftest drives the whole request cycle
 # (load → list → solve → multi-RHS batch → flow → mst → evict → 404)
 # in-process and exits nonzero on any mismatch, including a divergence
-# between a single solve and batch entry 0's derived-seed replay.
+# between a single solve and batch entry 0's derived-seed replay. The same
+# run verifies the serving-metric identities (per-endpoint request counters
+# sum to the served total and the status-class counters, latency histogram
+# counts equal per-endpoint request counts, cache hits + misses equal
+# instance lookups) and that the deterministic /metrics section is
+# byte-stable under re-scrape.
 daemon-smoke:
 	$(GO) run ./cmd/distlapd -selftest
 
-# Serving-metrics smoke test: the same -selftest run also verifies the
-# metric identities (per-endpoint request counters sum to the served
-# total and the status-class counters, latency histogram counts equal
-# per-endpoint request counts, cache hits + misses equal instance
-# lookups) and that the deterministic /metrics section is byte-stable
-# under re-scrape. Kept as its own target so a metrics regression is
-# named in CI output even though the binary run is shared.
-metrics-smoke:
-	$(GO) run ./cmd/distlapd -selftest >/dev/null
-	@echo metrics-smoke: serving-metric identities hold
+# Snapshot gate: the full experiment suite must reproduce the committed
+# experiments_output.txt byte for byte (wall-clock lines go to stderr). A
+# refactor that claims the same rounds, bytes and answers is held to it;
+# after an intentional change to the tables, regenerate the file with
+#   go run ./cmd/experiments > experiments_output.txt
+snapshot-check:
+	$(GO) run ./cmd/experiments > $(CURDIR)/.snapshot.txt 2>/dev/null
+	cmp $(CURDIR)/.snapshot.txt $(CURDIR)/experiments_output.txt
+	rm -f $(CURDIR)/.snapshot.txt
+	@echo snapshot-check: experiments_output.txt reproduced byte for byte
 
 # Flamegraph folded stacks for the solver experiment: a round-resolved
 # trace of E9b rendered as `path weight` lines (feed into flamegraph.pl or

@@ -6,6 +6,7 @@ package distlap_test
 // comparison directly.
 
 import (
+	"context"
 	"testing"
 
 	"distlap/internal/congest"
@@ -92,7 +93,9 @@ func BenchmarkAblationPWAOracle(b *testing.B) {
 		b.Run(string(mode), func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				res, _, err := core.SolveOnGraph(g, rhs, mode, 1e-6, 3)
+				res, err := core.SolveOnce(context.Background(), g, rhs, core.PrepareConfig{
+					Mode: mode, Tol: 1e-6, Seed: 3,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func traceOf(t *testing.T, mode core.Mode) *bytes.Buffer {
 	tr := simtrace.NewJSONL(&buf)
 	g := graph.Grid(5, 5)
 	b := linalg.RandomBVector(g.N(), 3)
-	if _, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+	if _, err := core.SolveOnce(context.Background(), g, b, core.PrepareConfig{
 		Mode: mode, Tol: 1e-6, Seed: 1, Trace: tr,
 	}); err != nil {
 		t.Fatalf("solve: %v", err)
@@ -103,7 +104,7 @@ func TestRenderFoldedAndTimeline(t *testing.T) {
 	tr := simtrace.NewJSONLSeries(&buf)
 	g := graph.Grid(5, 5)
 	b := linalg.RandomBVector(g.N(), 3)
-	if _, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+	if _, err := core.SolveOnce(context.Background(), g, b, core.PrepareConfig{
 		Mode: core.ModeUniversal, Tol: 1e-6, Seed: 1, Trace: tr,
 	}); err != nil {
 		t.Fatalf("solve: %v", err)

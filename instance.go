@@ -8,7 +8,6 @@ import (
 	"distlap/internal/congest"
 	"distlap/internal/core"
 	"distlap/internal/faultinject"
-	"distlap/internal/partwise"
 	"distlap/internal/seedderive"
 	"distlap/internal/simtrace"
 )
@@ -53,15 +52,7 @@ func (sv *Solver) Prepare(ctx context.Context, g *Graph) (*Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner, err := core.PrepareInstance(ctx, g, core.PrepareConfig{
-		Mode:      sv.mode,
-		Tol:       sv.eps,
-		Seed:      sv.seed,
-		Trace:     sv.trace,
-		Chebyshev: sv.cheb,
-		Lo:        sv.lo,
-		Hi:        sv.hi,
-	})
+	inner, err := core.PrepareInstance(ctx, g, sv.config())
 	if err != nil {
 		return nil, err
 	}
@@ -181,15 +172,10 @@ func (in *Instance) Flow(ctx context.Context, s, t int, opts ...ReqOption) (*Ele
 		ctx = context.Background()
 	}
 	g := in.inner.Graph()
-	if err := apps.CheckSTPair(g, s, t); err != nil {
-		return nil, err
-	}
-	rc := in.request("instance/flow", int64(s)*int64(g.N())+int64(t), opts)
-	res, err := in.inner.Solve(apps.UnitDemand(g.N(), s, t), in.coreRequest(ctx, rc))
-	if err != nil {
-		return nil, err
-	}
-	return apps.FlowFromPotentials(g, s, t, res), nil
+	return apps.SolveFlow(g, s, t, func(b []float64) (*Result, error) {
+		rc := in.request("instance/flow", int64(s)*int64(g.N())+int64(t), opts)
+		return in.inner.Solve(b, in.coreRequest(ctx, rc))
+	})
 }
 
 // EffectiveResistance returns the s-t effective resistance through one
@@ -213,8 +199,7 @@ func (in *Instance) MST(ctx context.Context, opts ...ReqOption) (res *MSTResult,
 		return nil, err
 	}
 	rc := in.request("instance/mst", 0, opts)
-	nw := in.inner.Network(core.Request{Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err, Faults: rc.faults})
-	return apps.MST(nw, partwise.NewShortcutSolver())
+	return mst(in.network(ctx, rc))
 }
 
 // AggregateParts solves a p-congested part-wise aggregation instance on a
@@ -229,16 +214,11 @@ func (in *Instance) AggregateParts(ctx context.Context, inst *PartwiseInstance, 
 		return nil, err
 	}
 	rc := in.request("instance/aggregate", 0, opts)
-	nw := in.inner.Network(core.Request{Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err, Faults: rc.faults})
-	out, err := partwise.NewLayeredSolver(rc.seed).Solve(nw, inst, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateResult{
-		Values: out,
-		Metrics: Metrics{
-			Congest: core.CongestEngineMetrics(nw),
-			Phases:  core.PhasesOf(nw.Trace()),
-		},
-	}, nil
+	return aggregateParts(in.network(ctx, rc), rc.seed, inst, spec)
+}
+
+// network builds the request-private supported CONGEST network of the
+// non-solve applications (MST, part-wise aggregation).
+func (in *Instance) network(ctx context.Context, rc reqCfg) *congest.Network {
+	return in.inner.Network(core.Request{Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err, Faults: rc.faults})
 }

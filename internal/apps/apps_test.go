@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -161,12 +162,18 @@ func TestSpanningViaLaplacianAgreesWithPWA(t *testing.T) {
 	}
 }
 
+// flowOnce is the one-shot unit s-t electrical flow on g under cfg.
+func flowOnce(g *graph.Graph, s, t graph.NodeID, cfg core.PrepareConfig) (*FlowResult, error) {
+	return SolveFlow(g, s, t, func(b []float64) (*core.Result, error) {
+		return core.SolveOnce(context.Background(), g, b, cfg)
+	})
+}
+
 func TestElectricalFlowPath(t *testing.T) {
 	// On a unit path of length 3, R_eff(0, 3) = 3 and the unit current
 	// crosses every edge.
 	g := graph.Path(4)
-	el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: 1}
-	res, err := el.Flow(0, 3)
+	res, err := flowOnce(g, 0, 3, core.PrepareConfig{Mode: core.ModeUniversal, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,22 +196,21 @@ func TestElectricalParallelEdgesResistance(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(0, 1, 1)
-	el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: 2}
-	r, err := el.EffectiveResistance(0, 1)
+	fl, err := flowOnce(g, 0, 1, core.PrepareConfig{Mode: core.ModeUniversal, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r-0.5) > 1e-5 {
-		t.Fatalf("R_eff=%v, want 0.5", r)
+	if math.Abs(fl.Resistance-0.5) > 1e-5 {
+		t.Fatalf("R_eff=%v, want 0.5", fl.Resistance)
 	}
 }
 
 func TestElectricalBadArgs(t *testing.T) {
-	el := &Electrical{G: graph.Path(3), Mode: core.ModeUniversal}
-	if _, err := el.Flow(0, 0); err == nil {
+	cfg := core.PrepareConfig{Mode: core.ModeUniversal}
+	if _, err := flowOnce(graph.Path(3), 0, 0, cfg); err == nil {
 		t.Fatal("want s==t error")
 	}
-	if _, err := el.Flow(0, 9); err == nil {
+	if _, err := flowOnce(graph.Path(3), 0, 9, cfg); err == nil {
 		t.Fatal("want range error")
 	}
 }
@@ -214,23 +220,14 @@ func TestElectricalBadArgs(t *testing.T) {
 func TestEffectiveResistanceMetricProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.RandomConnected(12, 8, 2, seed)
-		el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: seed, Tol: 1e-10}
-		rst, err := el.EffectiveResistance(0, 5)
-		if err != nil {
-			return false
+		r := func(s, t graph.NodeID) float64 {
+			fl, err := flowOnce(g, s, t, core.PrepareConfig{Mode: core.ModeUniversal, Seed: seed, Tol: 1e-10})
+			if err != nil {
+				return math.NaN()
+			}
+			return fl.Resistance
 		}
-		rts, err := el.EffectiveResistance(5, 0)
-		if err != nil {
-			return false
-		}
-		rsm, err := el.EffectiveResistance(0, 3)
-		if err != nil {
-			return false
-		}
-		rmt, err := el.EffectiveResistance(3, 5)
-		if err != nil {
-			return false
-		}
+		rst, rts, rsm, rmt := r(0, 5), r(5, 0), r(0, 3), r(3, 5)
 		return math.Abs(rst-rts) < 1e-6 && rst <= rsm+rmt+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

@@ -5,20 +5,7 @@ import (
 
 	"distlap/internal/core"
 	"distlap/internal/graph"
-	"distlap/internal/simtrace"
 )
-
-// Electrical computes electrical quantities on a weighted graph through the
-// distributed Laplacian solver (the flagship application of the Laplacian
-// paradigm, paper §1).
-type Electrical struct {
-	G    *graph.Graph
-	Mode core.Mode
-	Tol  float64
-	Seed int64
-	// Trace receives the underlying solve's instrumentation (nil = Nop).
-	Trace simtrace.Collector
-}
 
 // FlowResult reports an s-t electrical flow computation.
 type FlowResult struct {
@@ -32,8 +19,8 @@ type FlowResult struct {
 	Metrics core.Metrics
 }
 
-// CheckSTPair validates an s-t terminal pair against g.
-func CheckSTPair(g *graph.Graph, s, t graph.NodeID) error {
+// checkSTPair validates an s-t terminal pair against g.
+func checkSTPair(g *graph.Graph, s, t graph.NodeID) error {
 	n := g.N()
 	if s < 0 || s >= n || t < 0 || t >= n {
 		return fmt.Errorf("apps: %w: s=%d t=%d", graph.ErrNodeRange, s, t)
@@ -44,12 +31,22 @@ func CheckSTPair(g *graph.Graph, s, t graph.NodeID) error {
 	return nil
 }
 
-// FlowFromPotentials derives the full electrical-flow result from a solved
-// potential vector for the demand χ_s − χ_t: per-edge Ohm's-law currents,
-// the effective resistance, and the solve's measured cost. It is the
-// shared post-processing of the one-shot path and the prepared-Instance
-// path (which amortizes the solve's setup across requests).
-func FlowFromPotentials(g *graph.Graph, s, t graph.NodeID, res *core.Result) *FlowResult {
+// SolveFlow computes the unit s-t electrical flow on g: solve — the
+// caller's Laplacian solve, one-shot or against a prepared instance — finds
+// the potentials for the demand χ_s − χ_t, from which the per-edge
+// Ohm's-law currents, the effective resistance and the solve's measured
+// cost follow.
+func SolveFlow(g *graph.Graph, s, t graph.NodeID, solve func(b []float64) (*core.Result, error)) (*FlowResult, error) {
+	if err := checkSTPair(g, s, t); err != nil {
+		return nil, err
+	}
+	b := make([]float64, g.N())
+	b[s] = 1
+	b[t] = -1
+	res, err := solve(b)
+	if err != nil {
+		return nil, err
+	}
 	out := &FlowResult{
 		Potentials: res.X,
 		Resistance: res.X[s] - res.X[t],
@@ -61,43 +58,7 @@ func FlowFromPotentials(g *graph.Graph, s, t graph.NodeID, res *core.Result) *Fl
 	for id, e := range g.Edges() {
 		out.EdgeCurrent[id] = float64(e.Weight) * (res.X[e.U] - res.X[e.V])
 	}
-	return out
-}
-
-// UnitDemand returns the right-hand side χ_s − χ_t of a unit s-t flow.
-func UnitDemand(n int, s, t graph.NodeID) []float64 {
-	b := make([]float64, n)
-	b[s] = 1
-	b[t] = -1
-	return b
-}
-
-// Flow solves the unit s-t electrical flow.
-func (el *Electrical) Flow(s, t graph.NodeID) (*FlowResult, error) {
-	if err := CheckSTPair(el.G, s, t); err != nil {
-		return nil, err
-	}
-	tol := el.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	b := UnitDemand(el.G.N(), s, t)
-	res, _, err := core.SolveOnGraphWith(el.G, b, core.SolveConfig{
-		Mode: el.Mode, Tol: tol, Seed: el.Seed, Trace: el.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FlowFromPotentials(el.G, s, t, res), nil
-}
-
-// EffectiveResistance returns just the s-t effective resistance.
-func (el *Electrical) EffectiveResistance(s, t graph.NodeID) (float64, error) {
-	res, err := el.Flow(s, t)
-	if err != nil {
-		return 0, err
-	}
-	return res.Resistance, nil
+	return out, nil
 }
 
 // FlowDivergence returns, for each node, the net current out of it (test

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -137,8 +138,9 @@ type SweepCutResult struct {
 // sweep recovers a near-minimum cut — the classic rounding step of
 // electrical-flow max-flow algorithms.
 func SweepCutFromPotentials(g *graph.Graph, s, t graph.NodeID, mode core.Mode, seed int64) (*SweepCutResult, error) {
-	el := &Electrical{G: g, Mode: mode, Seed: seed}
-	flow, err := el.Flow(s, t)
+	flow, err := SolveFlow(g, s, t, func(b []float64) (*core.Result, error) {
+		return core.SolveOnce(context.TODO(), g, b, core.PrepareConfig{Mode: mode, Seed: seed})
+	})
 	if err != nil {
 		return nil, err
 	}

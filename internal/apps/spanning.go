@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -159,7 +160,7 @@ func SpanningConnectedViaLaplacian(g *graph.Graph, subEdges []graph.EdgeID, mode
 	for i := range b {
 		b[i] -= 1 / float64(n)
 	}
-	res, _, err := core.SolveOnGraph(h, b, mode, 1e-6, seed)
+	res, err := core.SolveOnce(context.TODO(), h, b, core.PrepareConfig{Mode: mode, Tol: 1e-6, Seed: seed})
 	if err != nil {
 		if errors.Is(err, linalg.ErrNoConverge) {
 			return &SpanningResult{Connected: false}, nil

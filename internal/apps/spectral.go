@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -65,7 +66,7 @@ func (sp *SpectralPartitioner) Partition(g *graph.Graph) (*SpectralResult, error
 	res := &SpectralResult{}
 	l := linalg.NewLaplacian(g)
 	for it := 0; it < iters; it++ {
-		sol, _, err := core.SolveOnGraphWith(g, x, core.SolveConfig{
+		sol, err := core.SolveOnce(context.TODO(), g, x, core.PrepareConfig{
 			Mode: sp.Mode, Tol: tol, Seed: seedderive.Derive(sp.Seed, "inverse-iter", int64(it)), Trace: sp.Trace,
 		})
 		if err != nil {

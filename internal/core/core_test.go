@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -155,11 +156,11 @@ func TestHybridCommSolve(t *testing.T) {
 	l := linalg.NewLaplacian(g)
 	xStar, _ := l.SolveExact(b)
 
-	resU, cu, err := SolveOnGraph(g, b, ModeUniversal, 1e-8, 1)
+	resU, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resH, ch, err := SolveOnGraph(g, b, ModeHybrid, 1e-8, 1)
+	resH, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeHybrid, Tol: 1e-8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +173,7 @@ func TestHybridCommSolve(t *testing.T) {
 		t.Fatalf("hybrid rounds %d should beat congest rounds %d on a path",
 			resH.Rounds, resU.Rounds)
 	}
-	_ = cu
-	if hc, ok := ch.(*HybridComm); !ok || hc.NCC().Rounds() == 0 {
+	if resH.Metrics.NCC == nil || resH.Metrics.NCC.Rounds == 0 {
 		t.Fatal("hybrid did not use NCC")
 	}
 }
@@ -184,11 +184,11 @@ func TestBaselineVsUniversalOnLowDiameter(t *testing.T) {
 	// local cluster trees stay parallel.
 	g := graph.RandomRegular(256, 4, 5)
 	b := linalg.RandomBVector(g.N(), 2)
-	resB, _, err := SolveOnGraph(g, b, ModeBaseline, 1e-6, 3)
+	resB, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeBaseline, Tol: 1e-6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-6, 3)
+	resU, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestBaselineVsUniversalOnLowDiameter(t *testing.T) {
 func TestModeCongestPaysConstruction(t *testing.T) {
 	g := graph.Grid(6, 6)
 	b := linalg.RandomBVector(36, 1)
-	resS, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-6, 1)
+	resS, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, _, err := SolveOnGraph(g, b, ModeCongest, 1e-6, 1)
+	resC, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeCongest, Tol: 1e-6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestModeCongestPaysConstruction(t *testing.T) {
 }
 
 func TestNewCommUnknownMode(t *testing.T) {
-	if _, err := NewComm(graph.Path(3), Mode("nope"), 1); err == nil {
+	if _, err := NewCommWith(graph.Path(3), CommConfig{Mode: Mode("nope"), Seed: 1}); err == nil {
 		t.Fatal("want unknown-mode error")
 	}
 }
@@ -261,7 +261,7 @@ func TestSolveResidualProperty(t *testing.T) {
 		g := graph.RandomConnected(20, 15, 4, seed)
 		b := linalg.RandomBVector(20, seed)
 		for _, mode := range []Mode{ModeUniversal, ModeBaseline, ModeHybrid} {
-			res, _, err := SolveOnGraph(g, b, mode, 1e-7, seed)
+			res, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: mode, Tol: 1e-7, Seed: seed})
 			if err != nil {
 				return false
 			}
@@ -287,7 +287,7 @@ func TestSolveLErrorProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-10, seed)
+		res, err := SolveOnce(context.Background(), g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-10, Seed: seed})
 		if err != nil {
 			return false
 		}

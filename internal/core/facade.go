@@ -21,11 +21,6 @@ type CommConfig struct {
 	Cancel func() error
 }
 
-// NewComm builds the standard communication substrate for a mode.
-func NewComm(g *graph.Graph, mode Mode, seed int64) (Comm, error) {
-	return NewCommWith(g, CommConfig{Mode: mode, Seed: seed})
-}
-
 // NewCommWith builds the communication substrate for a config. Rounds paid
 // during construction (the ModeCongest global BFS) are attributed to the
 // "comm-setup" phase.
@@ -63,35 +58,4 @@ func DefaultPrecond(g *graph.Graph, seed int64) Preconditioner {
 		size++
 	}
 	return NewSchwarzPrecond(size, 2, seed)
-}
-
-// SolveConfig configures SolveOnGraphWith.
-type SolveConfig struct {
-	Mode Mode
-	Tol  float64
-	Seed int64
-	// Trace receives the run's instrumentation events (nil = Nop).
-	Trace simtrace.Collector
-}
-
-// SolveOnGraph is the one-call entry point used by the CLIs, examples and
-// benchmarks: build the mode's comm, solve L x = b to tolerance tol with
-// the default preconditioner, and return both the result and the comm (for
-// metric extraction).
-func SolveOnGraph(g *graph.Graph, b []float64, mode Mode, tol float64, seed int64) (*Result, Comm, error) {
-	return SolveOnGraphWith(g, b, SolveConfig{Mode: mode, Tol: tol, Seed: seed})
-}
-
-// SolveOnGraphWith is SolveOnGraph taking a full config (trace collector
-// included).
-func SolveOnGraphWith(g *graph.Graph, b []float64, cfg SolveConfig) (*Result, Comm, error) {
-	c, err := NewCommWith(g, CommConfig{Mode: cfg.Mode, Seed: cfg.Seed, Trace: cfg.Trace})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := Solve(c, b, Options{Tol: cfg.Tol, Precond: DefaultPrecond(g, cfg.Seed)})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, c, nil
 }

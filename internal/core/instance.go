@@ -69,9 +69,31 @@ type PrepareConfig struct {
 // cluster aggregation trees and preconditioner state are all paid for here,
 // exactly once, so each additional right-hand side pays only iteration.
 // ctx cancels setup between engine rounds.
-func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in *Instance, err error) {
+func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (*Instance, error) {
+	in, _, err := prepare(ctx, g, cfg)
+	return in, err
+}
+
+// SolveOnce solves L_g x = b in one shot: literally PrepareInstance, then
+// the iteration of Instance.Solve, run on the setup engine itself rather
+// than a fresh request engine. The Result therefore charges setup and
+// iteration together — its rounds include the charged BFS in ModeCongest
+// and its MaxEdgeLoad spans both halves — and the trace nests the setup
+// spans under "prepare", exactly as a prepared instance's does.
+func SolveOnce(ctx context.Context, g *graph.Graph, b []float64, cfg PrepareConfig) (res *Result, err error) {
+	in, c, err := prepare(ctx, g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer congest.CatchCancel(&err)
+	return in.iterate(c, b, in.pre, Options{Tol: in.tol, Cancel: ctx.Err})
+}
+
+// prepare is PrepareInstance also returning the comm the setup ran on, so
+// SolveOnce can keep iterating on it.
+func prepare(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in *Instance, c Comm, err error) {
 	if g == nil || g.N() == 0 {
-		return nil, errors.New("core: empty graph")
+		return nil, nil, errors.New("core: empty graph")
 	}
 	mode := cfg.Mode
 	if mode == "" {
@@ -83,22 +105,21 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 		tol = 1e-8
 	}
 	if tol <= 0 || tol >= 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadTol, tol)
+		return nil, nil, fmt.Errorf("%w: %g", ErrBadTol, tol)
 	}
 	defer congest.CatchCancel(&err)
 	tr := simtrace.OrNop(cfg.Trace)
 	tr.Begin("prepare")
 	defer tr.End("prepare")
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c, err := NewCommWith(g, CommConfig{Mode: mode, Seed: cfg.Seed, Trace: tr, Cancel: ctx.Err})
+	c, err = NewCommWith(g, CommConfig{Mode: mode, Seed: cfg.Seed, Trace: tr, Cancel: ctx.Err})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	in = &Instance{
 		g:      g,
-		csr:    graph.BuildCSR(g),
 		mode:   mode,
 		seed:   cfg.Seed,
 		tol:    tol,
@@ -110,16 +131,17 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	case *CongestComm:
 		in.tree = cc.globalTree
 		in.supported = cc.nw.Supported()
+		in.csr = cc.nw.Topology()
 	case *HybridComm:
 		in.tree = cc.local.globalTree
 		in.supported = cc.local.nw.Supported()
+		in.csr = cc.local.nw.Topology()
 	default:
-		return nil, fmt.Errorf("core: comm %q exposes no cacheable state", c.Name())
+		return nil, nil, fmt.Errorf("core: comm %q exposes no cacheable state", c.Name())
 	}
 	if cfg.Chebyshev {
 		// Spectral bounds are a pure function of the graph — exactly the
-		// kind of per-instance work worth caching (the one-shot path
-		// recomputes them on every solve).
+		// kind of per-instance work worth caching.
 		lo, hi := cfg.Lo, cfg.Hi
 		if lo <= 0 || hi <= 0 {
 			tr.Begin("spectral-bounds")
@@ -127,24 +149,24 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 			tr.End("spectral-bounds")
 		}
 		if hi <= lo {
-			return nil, fmt.Errorf("core: bad spectral bounds [%g, %g]", lo, hi)
+			return nil, nil, fmt.Errorf("core: bad spectral bounds [%g, %g]", lo, hi)
 		}
 		in.lo, in.hi = lo, hi
 	} else {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pre := DefaultPrecond(g, cfg.Seed)
 		tr.Begin("precond-setup")
 		serr := pre.Setup(c)
 		tr.End("precond-setup")
 		if serr != nil {
-			return nil, fmt.Errorf("core: precond setup: %w", serr)
+			return nil, nil, fmt.Errorf("core: precond setup: %w", serr)
 		}
 		in.pre = pre
 	}
 	in.setup = c.CollectMetrics()
-	return in, nil
+	return in, c, nil
 }
 
 // Request configures one per-request execution against a prepared Instance.
@@ -256,13 +278,19 @@ func (in *Instance) Solve(b []float64, req Request) (res *Result, err error) {
 		// (recover.go): verified attempts, bounded retries, degradation.
 		return in.solveRecovering(b, req, tol)
 	}
-	c := in.Comm(req)
+	return in.iterate(in.Comm(req), b, in.pre, Options{Tol: tol, MaxIter: req.MaxIter, Cancel: req.Cancel})
+}
+
+// iterate is the iteration half shared by every solve against the instance:
+// Chebyshev iteration with the cached spectral bounds, or PCG with pre
+// (the prepared preconditioner, or the identity for the baseline fallback).
+func (in *Instance) iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, error) {
 	if in.cheb {
 		return SolveChebyshev(c, b, ChebyshevOptions{
-			Tol: tol, Lo: in.lo, Hi: in.hi, MaxIter: req.MaxIter, Cancel: req.Cancel,
+			Tol: opts.Tol, Lo: in.lo, Hi: in.hi, MaxIter: opts.MaxIter, Cancel: opts.Cancel,
 		})
 	}
-	return Iterate(c, b, in.pre, Options{Tol: tol, MaxIter: req.MaxIter, Cancel: req.Cancel})
+	return Iterate(c, b, pre, opts)
 }
 
 // SizeBytes estimates the resident size of the cached instance state —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -23,14 +24,9 @@ import (
 // reads zero.
 //
 // extra must be nonnegative with at least one positive entry (otherwise
-// the system is a plain Laplacian — use Solve). Unlike Laplacian systems,
-// b may have any sum.
-func SolveSDD(g *graph.Graph, extra []int64, b []float64, mode Mode, tol float64, seed int64) (*Result, error) {
-	return SolveSDDWith(g, extra, b, SolveConfig{Mode: mode, Tol: tol, Seed: seed})
-}
-
-// SolveSDDWith is SolveSDD taking a full config (trace collector included).
-func SolveSDDWith(g *graph.Graph, extra []int64, b []float64, cfg SolveConfig) (*Result, error) {
+// the system is a plain Laplacian — use SolveOnce). Unlike Laplacian
+// systems, b may have any sum.
+func SolveSDD(g *graph.Graph, extra []int64, b []float64, cfg PrepareConfig) (*Result, error) {
 	n := g.N()
 	if len(extra) != n || len(b) != n {
 		return nil, fmt.Errorf("core: extra/b have %d/%d entries for n=%d", len(extra), len(b), n)
@@ -64,7 +60,7 @@ func SolveSDDWith(g *graph.Graph, extra []int64, b []float64, cfg SolveConfig) (
 	}
 	bAug[z] = -sum
 
-	res, _, err := SolveOnGraphWith(aug, bAug, cfg)
+	res, err := SolveOnce(context.TODO(), aug, bAug, cfg)
 	if err != nil {
 		return nil, err
 	}

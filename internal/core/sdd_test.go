@@ -16,7 +16,7 @@ func TestSolveSDDAgainstDense(t *testing.T) {
 	b := linalg.RandomBVector(16, 3)
 	b[2] += 5 // b need not sum to zero for SDD systems
 
-	res, err := SolveSDD(g, extra, b, ModeUniversal, 1e-10, 1)
+	res, err := SolveSDD(g, extra, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +74,13 @@ func denseSDDSolve(t *testing.T, g *graph.Graph, extra []int64, b []float64) []f
 
 func TestSolveSDDInputValidation(t *testing.T) {
 	g := graph.Path(3)
-	if _, err := SolveSDD(g, []int64{1}, make([]float64, 3), ModeUniversal, 1e-6, 1); err == nil {
+	if _, err := SolveSDD(g, []int64{1}, make([]float64, 3), PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1}); err == nil {
 		t.Fatal("want length error")
 	}
-	if _, err := SolveSDD(g, []int64{0, -1, 0}, make([]float64, 3), ModeUniversal, 1e-6, 1); err == nil {
+	if _, err := SolveSDD(g, []int64{0, -1, 0}, make([]float64, 3), PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1}); err == nil {
 		t.Fatal("want negativity error")
 	}
-	if _, err := SolveSDD(g, []int64{0, 0, 0}, make([]float64, 3), ModeUniversal, 1e-6, 1); err == nil {
+	if _, err := SolveSDD(g, []int64{0, 0, 0}, make([]float64, 3), PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1}); err == nil {
 		t.Fatal("want all-zero error")
 	}
 }
@@ -91,7 +91,7 @@ func TestSolveSDDUniformRegularization(t *testing.T) {
 	g := graph.Path(5)
 	extra := []int64{1, 1, 1, 1, 1}
 	b := []float64{1, 1, 1, 1, 1}
-	res, err := SolveSDD(g, extra, b, ModeUniversal, 1e-10, 1)
+	res, err := SolveSDD(g, extra, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSolveSDDProperty(t *testing.T) {
 		extra[0] += 1
 		b := linalg.RandomBVector(12, seed+1)
 		b[3] += 2
-		res, err := SolveSDD(g, extra, b, ModeUniversal, 1e-9, seed)
+		res, err := SolveSDD(g, extra, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-9, Seed: seed})
 		if err != nil {
 			return false
 		}

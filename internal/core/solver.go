@@ -62,28 +62,7 @@ var ErrBadTol = errors.New("core: tolerance must be in (0, 1)")
 // CONGEST/HYBRID round complexity of the whole solve (Theorem 28's
 // #iterations × Q(p) structure, with Q measured rather than assumed).
 func Solve(c Comm, b []float64, opts Options) (*Result, error) {
-	g := c.Graph()
-	n := g.N()
-	if len(b) != n {
-		return nil, fmt.Errorf("core: b has %d entries for n=%d", len(b), n)
-	}
-	if opts.Tol <= 0 || opts.Tol >= 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadTol, opts.Tol)
-	}
-	pre := opts.Precond
-	if pre == nil {
-		pre = &IdentityPrecond{}
-	}
-	tr := c.Tracer()
-	tr.Begin("solve")
-	defer tr.End("solve")
-	tr.Begin("precond-setup")
-	err := pre.Setup(c)
-	tr.End("precond-setup")
-	if err != nil {
-		return nil, fmt.Errorf("core: precond setup: %w", err)
-	}
-	return iterate(c, b, pre, opts)
+	return iterate(c, b, opts.Precond, opts, true)
 }
 
 // Iterate runs the per-request half of a solve on a preconditioner whose
@@ -94,7 +73,15 @@ func Solve(c Comm, b []float64, opts Options) (*Result, error) {
 // same graph; its Apply must be read-only (the contract every shipped
 // preconditioner satisfies after Setup).
 func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, error) {
-	n := c.Graph().N()
+	return iterate(c, b, pre, opts, false)
+}
+
+// iterate is the one body of Solve and Iterate: it validates b and Tol and,
+// under the "solve" span, runs pre's Setup first when setup is set (nil
+// pre is the identity), then PCG from centering b through convergence.
+func iterate(c Comm, b []float64, pre Preconditioner, opts Options, setup bool) (*Result, error) {
+	g := c.Graph()
+	n := g.N()
 	if len(b) != n {
 		return nil, fmt.Errorf("core: b has %d entries for n=%d", len(b), n)
 	}
@@ -107,20 +94,18 @@ func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, er
 	tr := c.Tracer()
 	tr.Begin("solve")
 	defer tr.End("solve")
-	return iterate(c, b, pre, opts)
-}
-
-// iterate is the shared iteration half of Solve and Iterate: from centering
-// b through PCG convergence. The caller holds the "solve" span open and has
-// validated b and Tol; pre is set up.
-func iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, error) {
-	g := c.Graph()
-	n := g.N()
+	if setup {
+		tr.Begin("precond-setup")
+		err := pre.Setup(c)
+		tr.End("precond-setup")
+		if err != nil {
+			return nil, fmt.Errorf("core: precond setup: %w", err)
+		}
+	}
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 40*n + 200
 	}
-	tr := c.Tracer()
 
 	// Center b: one global sum, then a local subtraction (n is common
 	// knowledge).

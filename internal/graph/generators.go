@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 )
 
@@ -297,6 +296,3 @@ func log2ceil(n int) int {
 
 // GridID returns the node ID of cell (r, c) in a Grid(rows, cols) graph.
 func GridID(cols, r, c int) NodeID { return r*cols + c }
-
-// FormatSize renders n as a short human label (for experiment tables).
-func FormatSize(n int) string { return fmt.Sprintf("%d", n) }

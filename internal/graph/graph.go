@@ -20,7 +20,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -262,19 +261,4 @@ func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
 		}
 	}
 	return sub, orig
-}
-
-// SortedNeighborIDs returns the distinct neighbor IDs of v in increasing
-// order (convenience for deterministic iteration in tests and algorithms).
-func (g *Graph) SortedNeighborIDs(v NodeID) []NodeID {
-	seen := make(map[NodeID]bool, len(g.adj[v]))
-	out := make([]NodeID, 0, len(g.adj[v]))
-	for _, h := range g.adj[v] {
-		if !seen[h.To] {
-			seen[h.To] = true
-			out = append(out, h.To)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

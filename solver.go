@@ -1,6 +1,7 @@
 package distlap
 
 import (
+	"context"
 	"io"
 
 	"distlap/internal/apps"
@@ -44,9 +45,8 @@ func NopTrace() Collector { return simtrace.Nop{} }
 
 // Solver is the configured entry point to the distributed Laplacian solver
 // and its applications. Construct one with NewSolver and functional
-// options; the zero configuration (Supported-CONGEST universal mode,
-// tolerance 1e-8, seed 1, no trace) matches the package-level convenience
-// functions.
+// options; the zero configuration is Supported-CONGEST universal mode,
+// tolerance 1e-8, seed 1 and no trace.
 //
 //	tr := distlap.NewInMemoryTrace()
 //	s := distlap.NewSolver(
@@ -103,10 +103,15 @@ func WithSeed(seed int64) Option { return func(s *Solver) { s.seed = seed } }
 // it. nil restores the default no-op collector.
 func WithTrace(c Collector) Option { return func(s *Solver) { s.trace = c } }
 
-// WithChebyshev switches Solve to distributed Chebyshev iteration — the
-// alternative iteration with no per-iteration global reductions, which wins
-// on high-diameter topologies. lo and hi bracket the spectrum of the
-// normalized system; pass 0, 0 for safe automatic bounds.
+// WithChebyshev switches the Laplacian solves to distributed Chebyshev
+// iteration — the alternative iteration with no per-iteration global
+// reductions, which wins on high-diameter topologies. lo and hi bracket
+// the spectrum of the normalized system; pass 0, 0 for safe automatic
+// bounds. It affects Solve, SolveSDD, Flow, EffectiveResistance and every
+// solve against an Instance this Solver prepares (whose spectral bounds
+// are then computed once, at Prepare). MaxFlow and SpectralPartition keep
+// running preconditioned CG, and MinimumSpanningTree and AggregateParts
+// run no Laplacian solve at all.
 func WithChebyshev(lo, hi float64) Option {
 	return func(s *Solver) { s.cheb = true; s.lo, s.hi = lo, hi }
 }
@@ -121,22 +126,28 @@ func NewSolver(opts ...Option) *Solver {
 	return s
 }
 
+// config is the Solver's full configuration as a core.PrepareConfig: the
+// one configuration behind Prepare and every one-shot solve.
+func (sv *Solver) config() core.PrepareConfig {
+	return core.PrepareConfig{
+		Mode:      sv.mode,
+		Tol:       sv.eps,
+		Seed:      sv.seed,
+		Trace:     sv.trace,
+		Chebyshev: sv.cheb,
+		Lo:        sv.lo,
+		Hi:        sv.hi,
+	}
+}
+
 // Solve solves the Laplacian system L_g x = b to the configured tolerance
 // and reports the measured communication cost. b must sum to
-// (approximately) zero; the solution is mean-centered. With WithChebyshev
-// the system is solved by Chebyshev iteration instead of preconditioned CG.
+// (approximately) zero; the solution is mean-centered. The one-shot solve
+// is literally Prepare followed by the instance's iteration, run on the
+// setup engine, so its cost includes setup (the charged BFS in
+// ModeCongest).
 func (sv *Solver) Solve(g *Graph, b []float64) (*Result, error) {
-	if sv.cheb {
-		c, err := core.NewCommWith(g, core.CommConfig{Mode: sv.mode, Seed: sv.seed, Trace: sv.trace})
-		if err != nil {
-			return nil, err
-		}
-		return core.SolveChebyshev(c, b, core.ChebyshevOptions{Tol: sv.eps, Lo: sv.lo, Hi: sv.hi})
-	}
-	res, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
-		Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace,
-	})
-	return res, err
+	return core.SolveOnce(context.TODO(), g, b, sv.config())
 }
 
 // SolveSDD solves the symmetric diagonally-dominant system
@@ -144,28 +155,31 @@ func (sv *Solver) Solve(g *Graph, b []float64) (*Result, error) {
 // must be nonnegative integers with at least one positive entry; b may have
 // any sum.
 func (sv *Solver) SolveSDD(g *Graph, extra []int64, b []float64) (*Result, error) {
-	return core.SolveSDDWith(g, extra, b, core.SolveConfig{
-		Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace,
-	})
+	return core.SolveSDD(g, extra, b, sv.config())
 }
 
 // Flow computes the unit s-t electrical flow on g (potentials, currents,
 // effective resistance) through one distributed solve.
 func (sv *Solver) Flow(g *Graph, s, t int) (*ElectricalFlow, error) {
-	el := &apps.Electrical{G: g, Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace}
-	return el.Flow(s, t)
+	return apps.SolveFlow(g, s, t, func(b []float64) (*Result, error) {
+		return sv.Solve(g, b)
+	})
 }
 
 // EffectiveResistance returns the s-t effective resistance of g.
 func (sv *Solver) EffectiveResistance(g *Graph, s, t int) (float64, error) {
-	el := &apps.Electrical{G: g, Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace}
-	return el.EffectiveResistance(s, t)
+	fl, err := sv.Flow(g, s, t)
+	if err != nil {
+		return 0, err
+	}
+	return fl.Resistance, nil
 }
 
 // MaxFlow approximates the s-t maximum flow via electrical-flow
 // multiplicative weights: every MWU iteration is one distributed Laplacian
 // solve. eps is the MWU approximation parameter in (0, 0.5) — distinct from
-// the solver tolerance, which remains the Solver's configured eps.
+// the solver tolerance, which the MWU solves fix at 1e-8. The solves always
+// run PCG, whatever WithChebyshev says.
 func (sv *Solver) MaxFlow(g *Graph, s, t int, eps float64) (*apps.ApproxFlowResult, error) {
 	a := &apps.ApproxMaxFlow{Mode: sv.mode, Epsilon: eps, Seed: sv.seed, Trace: sv.trace}
 	return a.Run(g, s, t)
@@ -173,7 +187,8 @@ func (sv *Solver) MaxFlow(g *Graph, s, t int, eps float64) (*apps.ApproxFlowResu
 
 // SpectralPartition approximates the Fiedler vector by inverse power
 // iteration (one distributed solve per step) and returns the sign-cut
-// bipartition with its measured rounds.
+// bipartition with its measured rounds. The solves always run PCG,
+// whatever WithChebyshev says.
 func (sv *Solver) SpectralPartition(g *Graph) (*apps.SpectralResult, error) {
 	sp := &apps.SpectralPartitioner{Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace}
 	return sp.Partition(g)
@@ -182,10 +197,15 @@ func (sv *Solver) SpectralPartition(g *Graph) (*apps.SpectralResult, error) {
 // MinimumSpanningTree computes an MST distributedly with Borůvka phases
 // over part-wise aggregation in Supported-CONGEST.
 func (sv *Solver) MinimumSpanningTree(g *Graph) (*MSTResult, error) {
-	nw := congest.NewNetwork(g, congest.Options{
-		Supported: true, Seed: sv.seed, Trace: sv.trace,
+	return mst(sv.network(g))
+}
+
+// network builds the one-shot supported CONGEST network of the non-solve
+// applications (MST, part-wise aggregation).
+func (sv *Solver) network(g *Graph) *congest.Network {
+	return congest.NewNetwork(g, congest.Options{
+		Supported: true, Seed: sv.seed, Trace: simtrace.OrNop(sv.trace),
 	})
-	return apps.MST(nw, partwise.NewShortcutSolver())
 }
 
 // AggregateResult reports a part-wise aggregation: the per-part aggregates
@@ -198,9 +218,19 @@ type AggregateResult struct {
 // AggregateParts solves a p-congested part-wise aggregation instance on g
 // in Supported-CONGEST via the paper's layered-graph reduction.
 func (sv *Solver) AggregateParts(g *Graph, inst *PartwiseInstance, spec AggSpec) (*AggregateResult, error) {
-	tr := simtrace.OrNop(sv.trace)
-	nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: sv.seed, Trace: tr})
-	out, err := partwise.NewLayeredSolver(sv.seed).Solve(nw, inst, spec)
+	return aggregateParts(sv.network(g), sv.seed, inst, spec)
+}
+
+// mst is the MST computation shared by Solver and Instance: Borůvka over
+// shortcut part-wise aggregation on nw.
+func mst(nw *congest.Network) (*MSTResult, error) {
+	return apps.MST(nw, partwise.NewShortcutSolver())
+}
+
+// aggregateParts is the part-wise aggregation shared by Solver and
+// Instance: the layered-graph reduction seeded with seed, run on nw.
+func aggregateParts(nw *congest.Network, seed int64, inst *PartwiseInstance, spec AggSpec) (*AggregateResult, error) {
+	out, err := partwise.NewLayeredSolver(seed).Solve(nw, inst, spec)
 	if err != nil {
 		return nil, err
 	}
