@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json race test alloc-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check
+.PHONY: check build vet lint lint-json race test alloc-check distbench-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check
 
 check: build vet lint test alloc-check trace-smoke daemon-smoke chaos-smoke snapshot-check
 
@@ -32,12 +32,20 @@ test:
 	$(GO) test -race ./...
 
 # Allocation-regression budgets for the pooled hot paths (PERFORMANCE.md):
-# steady-state Exchange at 0 allocs/round, AggregateMany at 1 alloc/call,
-# a PCG iteration within its fixed budget. The tests are `//go:build !race`
+# steady-state Exchange at 0 allocs/round, AggregateMany and the
+# ConvergecastAll + DownSweepMany pair at 1 alloc/call, a PCG iteration
+# within its fixed budget — plus Instance.SizeBytes held within 5% of the
+# heap a prepared instance retains. The tests are `//go:build !race`
 # because the race runtime changes allocation counts, so this is a separate
 # plain-runtime pass; `make test` covers the same code for correctness.
 alloc-check:
-	$(GO) test -run 'Allocs' ./internal/congest ./internal/core
+	$(GO) test -run 'Allocs|RetainedHeap' ./internal/congest ./internal/core
+
+# distbench (the end-to-end benchmark of BENCHMARK.json) is its own Go
+# module, so `go build ./...` above never compiles it; this target vets and
+# tests it against the current source.
+distbench-check:
+	cd distbench && $(GO) vet ./... && $(GO) test ./...
 
 # Focused race-detector pass over the packages sanctioned to run
 # goroutines — the experiments worker pool, the simtrace writer, the

@@ -36,7 +36,7 @@ func BenchmarkAblationDelays(b *testing.B) {
 				for t := range trees {
 					trees[t] = graph.BFSTree(g, 0)
 				}
-				if _, err := nw.ConvergecastMany(trees,
+				if _, _, err := nw.ConvergecastAll(trees,
 					func(int, graph.NodeID) congest.Word { return 1 },
 					congest.AggSum); err != nil {
 					b.Fatal(err)

@@ -85,9 +85,9 @@ func TestDeterministicPhasesAcrossSeeds(t *testing.T) {
 	if nw1.Metrics() != nw2.Metrics() {
 		t.Errorf("BFS metrics differ across seeds: %+v vs %+v", nw1.Metrics(), nw2.Metrics())
 	}
-	for v := range r1.Dist {
-		if r1.Dist[v] != r2.Dist[v] {
-			t.Fatalf("BFS distances differ at node %d: %d vs %d", v, r1.Dist[v], r2.Dist[v])
+	for v := range r1.Depth {
+		if r1.Depth[v] != r2.Depth[v] {
+			t.Fatalf("BFS distances differ at node %d: %d vs %d", v, r1.Depth[v], r2.Depth[v])
 		}
 	}
 

@@ -127,8 +127,9 @@ func (in *Instance) Seed() int64 { return in.seed }
 // numerator of the serving story.
 func (in *Instance) SetupMetrics() Metrics { return in.inner.SetupMetrics() }
 
-// SizeBytes estimates the resident size of the cached instance state for
-// cache budgeting (cmd/distlapd's byte-budget LRU).
+// SizeBytes returns the resident size of the cached instance state, summed
+// from the slices it holds, for cache budgeting (cmd/distlapd's byte-budget
+// LRU).
 func (in *Instance) SizeBytes() int64 { return in.inner.SizeBytes() }
 
 // Solve solves L x = b against the cached instance state, paying only

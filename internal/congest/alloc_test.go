@@ -52,3 +52,35 @@ func TestAggregateManySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state AggregateMany allocates %.1f per call, budget %d", a, budget)
 	}
 }
+
+// TestTreeSweepPairSteadyStateAllocs pins the sweep pair under a tree solve
+// (core's TreeUpDown): ConvergecastAll, then a DownSweepMany whose
+// transform reads the subtree aggregates. Steady state allocates exactly
+// the returned roots slice; the subtree rows, their row list, the receipt
+// stamps and the scheduler all run on pooled scratch, and children come
+// from the trees' stored child indexes.
+func TestTreeSweepPairSteadyStateAllocs(t *testing.T) {
+	g := graph.Grid(12, 12)
+	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
+	trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 77), graph.BFSTreeOfSubgraph(g, []graph.NodeID{0, 1, 12, 13}, nil, 13)}
+	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
+	var sink Word
+	sweep := func() {
+		roots, sub, err := nw.ConvergecastAll(trees, val, AggSum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nw.DownSweepMany(trees, roots,
+			func(t int, _, child graph.NodeID, w Word) Word { return w - sub[t][child] },
+			func(_ int, _ graph.NodeID, w Word) { sink += w })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // warm scheduler queues, dense state, row list
+	sweep()
+	const budget = 1 // the returned roots only
+	if a := testing.AllocsPerRun(10, sweep); a > budget {
+		t.Fatalf("steady-state ConvergecastAll+DownSweepMany allocates %.1f per call, budget %d", a, budget)
+	}
+}

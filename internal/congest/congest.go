@@ -27,7 +27,7 @@ package congest
 import (
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
@@ -357,54 +357,47 @@ func (nw *Network) ExchangeK(k int,
 	}
 }
 
-// BFS computes hop distances from root with an actual distributed flooding
-// execution (each node learns its distance in the round it is reached);
-// it charges ecc(root)+1 rounds. The returned structure matches graph.BFS.
-// This grounds the cost model: distributed BFS costs O(D) rounds.
-func (nw *Network) BFS(root graph.NodeID) *graph.BFSResult {
+// BFS returns the BFS tree from root. In standard CONGEST the tree comes
+// from an actual distributed flooding execution (each node learns its
+// depth in the round it is reached), which charges ecc(root)+1 rounds:
+// distributed BFS costs O(D) rounds. In Supported-CONGEST the topology is
+// known in advance, so the tree is graph.BFSTree's and costs nothing.
+func (nw *Network) BFS(root graph.NodeID) *graph.Tree {
+	if nw.Supported() {
+		return graph.BFSTree(nw.g, root)
+	}
 	nw.trace.Begin("bfs")
 	defer nw.trace.End("bfs")
 	n := nw.g.N()
-	res := &graph.BFSResult{
-		Root:       root,
-		Dist:       make([]int, n),
-		Parent:     make([]graph.NodeID, n),
-		ParentEdge: make([]graph.EdgeID, n),
+	parent := make([]graph.NodeID, n)
+	parentEdge := make([]graph.EdgeID, n)
+	for i := range parent {
+		parent[i], parentEdge[i] = -1, -1
 	}
-	for i := 0; i < n; i++ {
-		res.Dist[i] = -1
-		res.Parent[i] = -1
-		res.ParentEdge[i] = -1
-	}
-	res.Dist[root] = 0
-	res.Order = append(res.Order, root)
+	order := []graph.NodeID{root}
 	// Flat frontier: a membership bitmap plus the node list of the current
 	// wave (the only nodes whose bits need clearing between rounds).
 	frontier := make([]bool, n)
 	frontier[root] = true
 	wave := []graph.NodeID{root}
-	for len(wave) > 0 {
+	for depth := 0; len(wave) > 0; depth++ {
 		var reached []graph.NodeID
 		nw.Exchange(
 			func(v graph.NodeID, h graph.Half) (Word, bool) {
-				if frontier[v] {
-					return Word(res.Dist[v]), true
-				}
-				return 0, false
+				return Word(depth), frontier[v]
 			},
 			func(v graph.NodeID, h graph.Half, w Word) {
-				if res.Dist[v] == -1 {
-					res.Dist[v] = int(w) + 1
-					res.Parent[v] = h.To
-					res.ParentEdge[v] = h.Edge
+				if parent[v] == -1 && v != root {
+					parent[v] = h.To
+					parentEdge[v] = h.Edge
 					reached = append(reached, v)
 				}
 			},
 		)
 		// Deterministic order: reached was appended in node-scan order of
 		// the sending side; sort by node ID for stability.
-		sortNodeIDs(reached)
-		res.Order = append(res.Order, reached...)
+		slices.Sort(reached)
+		order = append(order, reached...)
 		for _, v := range wave {
 			frontier[v] = false
 		}
@@ -413,7 +406,5 @@ func (nw *Network) BFS(root graph.NodeID) *graph.BFSResult {
 		}
 		wave = reached
 	}
-	return res
+	return graph.NewTree(order, parent, parentEdge)
 }
-
-func sortNodeIDs(a []graph.NodeID) { sort.Ints(a) }

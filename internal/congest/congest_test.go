@@ -72,8 +72,8 @@ func TestDistributedBFSCostsEccentricity(t *testing.T) {
 	res := nw.BFS(0)
 	ref := graph.BFS(g, 0)
 	for v := range ref.Dist {
-		if res.Dist[v] != ref.Dist[v] {
-			t.Fatalf("dist[%d]=%d, want %d", v, res.Dist[v], ref.Dist[v])
+		if res.Depth[v] != ref.Dist[v] {
+			t.Fatalf("dist[%d]=%d, want %d", v, res.Depth[v], ref.Dist[v])
 		}
 	}
 	// BFS floods one extra round past the last frontier.
@@ -100,7 +100,7 @@ func TestConvergecastSingleTreeSum(t *testing.T) {
 	g := graph.Path(8)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+	out, _, err := nw.ConvergecastAll([]*graph.Tree{tr},
 		func(_ int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestConvergecastSingletonTreeIsFree(t *testing.T) {
 	g := graph.Path(3)
 	nw := newNet(g)
 	tr := graph.BFSTreeOfSubgraph(g, []graph.NodeID{1}, nil, 1)
-	out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+	out, _, err := nw.ConvergecastAll([]*graph.Tree{tr},
 		func(_ int, v graph.NodeID) Word { return 42 }, AggMin)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestConvergecastManySharedEdgesQueue(t *testing.T) {
 	for i := range trees {
 		trees[i] = graph.BFSTree(g, 0)
 	}
-	out, err := nw.ConvergecastMany(trees,
+	out, _, err := nw.ConvergecastAll(trees,
 		func(t int, v graph.NodeID) Word { return Word(t + int(v)) }, AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestBroadcastMany(t *testing.T) {
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 4)
 	seen := make(map[graph.NodeID]Word)
-	err := nw.BroadcastMany([]*graph.Tree{tr}, []Word{99},
+	err := nw.DownSweepMany([]*graph.Tree{tr}, []Word{99}, keepWord,
 		func(_ int, v graph.NodeID, w Word) { seen[v] = w })
 	if err != nil {
 		t.Fatal(err)
@@ -196,18 +196,6 @@ func TestAggregateManyRoundTrip(t *testing.T) {
 	}
 	if out[0] != 7 || out[1] != 15 {
 		t.Fatalf("out=%v", out)
-	}
-}
-
-func TestBroadcastManyBadArgs(t *testing.T) {
-	nw := newNet(graph.Path(2))
-	if err := nw.BroadcastMany(nil, nil, nil); err == nil {
-		t.Fatal("want error for no trees")
-	}
-	tr := graph.BFSTree(nw.Graph(), 0)
-	if err := nw.BroadcastMany([]*graph.Tree{tr}, nil,
-		func(int, graph.NodeID, Word) {}); err == nil {
-		t.Fatal("want error for mismatched root values")
 	}
 }
 
@@ -280,7 +268,7 @@ func TestRandomDelaysAblation(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			trees = append(trees, graph.BFSTree(g, 0))
 		}
-		out, err := nw.ConvergecastMany(trees,
+		out, _, err := nw.ConvergecastAll(trees,
 			func(_ int, v graph.NodeID) Word { return 1 }, AggSum)
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +317,7 @@ func TestConvergecastSumProperty(t *testing.T) {
 		g := graph.RandomConnected(n, n/2, 1, seed)
 		nw := NewNetwork(g, Options{Seed: seed})
 		tr := graph.BFSTree(g, 0)
-		out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+		out, _, err := nw.ConvergecastAll([]*graph.Tree{tr},
 			func(_ int, v graph.NodeID) Word { return Word(v) + 1 }, AggSum)
 		if err != nil {
 			return false

@@ -160,7 +160,7 @@ func TestConvergecastDetectsFaults(t *testing.T) {
 	g := graph.Grid(4, 4)
 	nw := faultyNet(g, 21, faultinject.Spec{FlakyLinkProb: 1, FlakyDropProb: 1})
 	tree := graph.BFSTree(g, 0)
-	_, err := nw.ConvergecastMany([]*graph.Tree{tree},
+	_, _, err := nw.ConvergecastAll([]*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return 1 }, AggSum)
 	if err == nil {
 		t.Fatalf("convergecast over an all-dropping network reported success")
@@ -176,13 +176,13 @@ func TestConvergecastSurvivesDelays(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 2})
-	want, err := reliable.ConvergecastMany([]*graph.Tree{tree},
+	want, _, err := reliable.ConvergecastAll([]*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("reliable convergecast: %v", err)
 	}
 	nw := faultyNet(g, 2, faultinject.Spec{DelayProb: 0.4, MaxDelay: 3})
-	got, err := nw.ConvergecastMany([]*graph.Tree{tree},
+	got, _, err := nw.ConvergecastAll([]*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("delayed convergecast: %v", err)
@@ -203,13 +203,13 @@ func TestBroadcastSurvivesDrops(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 4})
-	if err := reliable.BroadcastMany([]*graph.Tree{tree}, []Word{7},
+	if err := reliable.DownSweepMany([]*graph.Tree{tree}, []Word{7}, keepWord,
 		func(t int, v graph.NodeID, w Word) {}); err != nil {
 		t.Fatalf("reliable broadcast: %v", err)
 	}
 	nw := faultyNet(g, 4, faultinject.Spec{DropProb: 0.3})
 	seen := make([]Word, g.N())
-	if err := nw.BroadcastMany([]*graph.Tree{tree}, []Word{7},
+	if err := nw.DownSweepMany([]*graph.Tree{tree}, []Word{7}, keepWord,
 		func(t int, v graph.NodeID, w Word) { seen[v] = w }); err != nil {
 		t.Fatalf("broadcast under 30%% drop: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestFaultyTreeSchedTerminates(t *testing.T) {
 	g := graph.Path(8)
 	nw := faultyNet(g, 17, faultinject.Spec{DropProb: 0.9, DelayProb: 0.1, MaxDelay: 5})
 	tree := graph.BFSTree(g, 0)
-	err := nw.BroadcastMany([]*graph.Tree{tree}, []Word{42},
+	err := nw.DownSweepMany([]*graph.Tree{tree}, []Word{42}, keepWord,
 		func(t int, v graph.NodeID, w Word) {})
 	if err == nil {
 		t.Fatalf("broadcast under 90%% drop reported success")

@@ -20,17 +20,23 @@ func FloatWord(f float64) Word {
 // WordFloat unpacks a float64 from a message word.
 func WordFloat(w Word) float64 { return math.Float64frombits(uint64(w)) }
 
-// ConvergecastAll is ConvergecastMany that additionally exposes, per tree,
-// every member's subtree aggregate (the value the member forwarded to its
-// parent — physically known to both endpoints after the pass). Tree solvers
-// (internal/core's tree and Schwarz preconditioners) need these per-edge
-// partial aggregates, not just the root total.
+// ConvergecastAll aggregates, concurrently for every tree, the value
+// val(t, v) over the tree's members using agg, delivering the result to
+// each tree's root — the engine's one upward sweep. Trees may share graph
+// edges; every directed edge carries at most one word per round, so the
+// measured cost is the true scheduled makespan (O(congestion + depth) with
+// random delays, up to log factors).
 //
+// Besides the per-tree root aggregates it exposes every member's subtree
+// aggregate (the value the member forwarded to its parent — physically
+// known to both endpoints after the pass), which tree solvers
+// (internal/core's tree and Schwarz preconditioners) need.
 // subtree[t] is a dense per-node row: subtree[t][v] is node v's aggregate in
 // tree t, defined only for v in trees[t].Members (other slots hold stale
-// scratch). The rows alias the network's pooled convergecast state and stay
-// valid until the next convergecast-family primitive on this network
-// (broadcasts and down-sweeps do not touch them); copy to retain longer.
+// scratch). The rows and the row list alias the network's pooled
+// convergecast state and stay valid until the next ConvergecastAll on this
+// network (down-sweeps do not touch them); copy to retain longer. Aside
+// from the returned roots, a steady-state call allocates nothing.
 func (nw *Network) ConvergecastAll(
 	trees []*graph.Tree,
 	val func(t int, v graph.NodeID) Word,
@@ -48,12 +54,15 @@ func (nw *Network) ConvergecastAll(
 	for sched.step(deliver) {
 	}
 	roots = make([]Word, k)
-	subtree = make([][]Word, k)
+	if cap(nw.scr.ccRows) < k {
+		nw.scr.ccRows = make([][]Word, k)
+	}
+	subtree = nw.scr.ccRows[:k]
 	for t, tr := range trees {
 		row := st.acc[t*st.n : (t+1)*st.n]
 		for _, v := range tr.Members {
 			if st.pending[t*st.n+v] != 0 {
-				return nil, nil, fmt.Errorf("congest: convergecast of tree %d stuck at node %d", t, v)
+				return nil, nil, fmt.Errorf("congest: convergecast of tree %d did not complete at node %d", t, v)
 			}
 		}
 		subtree[t] = row
@@ -63,12 +72,14 @@ func (nw *Network) ConvergecastAll(
 }
 
 // DownSweepMany propagates values from each tree root toward the leaves,
-// transforming per hop: the parent computes next(t, parent, child,
-// parentVal) — a function of locally-known state — and sends the result to
-// the child. on fires at every member with its received (or, for the root,
-// initial) value. This is the downward pass of distributed tree solvers.
-// Like the other tree primitives it runs on pooled flat state (child index,
-// receipt stamps, scheduler FIFOs) and allocates nothing at steady state.
+// transforming per hop — the engine's one downward sweep: the parent
+// computes next(t, parent, child, parentVal) — a function of locally-known
+// state — and sends the result to the child; an identity next makes it a
+// broadcast. on fires at every member with its received (or, for the root,
+// initial) value. Children come from each tree's stored child index, and
+// every send carries its receiver's position in Members. Cost accounting
+// matches ConvergecastAll; like it, the sweep runs on pooled flat state
+// (receipt stamps, scheduler FIFOs) and allocates nothing at steady state.
 func (nw *Network) DownSweepMany(
 	trees []*graph.Tree,
 	rootVal []Word,
@@ -85,17 +96,19 @@ func (nw *Network) DownSweepMany(
 	nw.scr.nextEpoch(k * nw.g.N())
 	sched := newTreeSched(nw)
 	delays := nw.randomDelays(k, nw.treeCongestion(trees))
-	ci := nw.buildChildIndex(trees)
 	received := grownInts(nw.scr.recvCount, k)
 	nw.scr.recvCount = received
 	for i := range received {
 		received[i] = 0
 	}
 
-	fanOut := func(t int, v graph.NodeID, w Word, eligible int) {
-		for _, c := range ci.children(t, v) {
-			sched.push(nw.dirEdge(trees[t].ParentEdge[c], v), pendingSend{
-				tree: t, from: v, to: c, w: next(t, v, c, w), eligible: eligible,
+	fanOut := func(t int, i int32, w Word, eligible int) {
+		tr := trees[t]
+		v := tr.Members[i]
+		for _, j := range tr.Kids(int(i)) {
+			c := tr.Members[j]
+			sched.push(nw.dirEdge(tr.ParentEdge[c], v), pendingSend{
+				tree: int32(t), pos: j, from: v, to: c, w: next(t, v, c, w), eligible: eligible,
 			})
 		}
 	}
@@ -103,15 +116,16 @@ func (nw *Network) DownSweepMany(
 		nw.bcSeen(t, tr.Root)
 		received[t]++
 		on(t, tr.Root, rootVal[t])
-		fanOut(t, tr.Root, rootVal[t], 1+delays[t])
+		fanOut(t, 0, rootVal[t], 1+delays[t])
 	}
 	deliver := func(ps pendingSend) {
-		if nw.bcSeen(ps.tree, ps.to) {
+		t := int(ps.tree)
+		if nw.bcSeen(t, ps.to) {
 			return
 		}
-		received[ps.tree]++
-		on(ps.tree, ps.to, ps.w)
-		fanOut(ps.tree, ps.to, ps.w, sched.round+1)
+		received[t]++
+		on(t, ps.to, ps.w)
+		fanOut(t, ps.pos, ps.w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}

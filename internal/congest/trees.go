@@ -1,7 +1,7 @@
 package congest
 
 import (
-	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -39,7 +39,8 @@ func AggOr(a, b Word) Word {
 
 // pendingSend is one word waiting to cross a directed edge.
 type pendingSend struct {
-	tree     int
+	tree     int32
+	pos      int32 // down-sweeps: the receiver's position in the tree's Members
 	from     graph.NodeID
 	to       graph.NodeID
 	w        Word
@@ -55,11 +56,10 @@ type pendingSend struct {
 // Ordering invariant: active holds exactly the directed edges with
 // nonempty FIFOs, and is processed in ascending order every round. dirty
 // is set only when push activates a new edge — the per-round filtering
-// preserves sortedness, so the re-sort the map-based scheduler ran every
-// step is needed only after pushes (and the insertion sort is then nearly
-// linear on the almost-sorted list). The processed order is identical
-// either way, which is what keeps charge order and delivery order — and
-// therefore every gated metric — byte-identical.
+// preserves sortedness, so a re-sort is needed only after pushes. Active
+// edge ids are distinct, so the sorted order (and with it charge order and
+// delivery order, and therefore every gated metric) does not depend on the
+// sort algorithm.
 type treeSched struct {
 	nw     *Network
 	active []int // sorted dirEdges with nonempty queues (aliases scr.schedActive)
@@ -114,7 +114,7 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 	}
 	nw.checkCancel()
 	if s.dirty {
-		sortInts(s.active)
+		slices.Sort(s.active)
 		s.dirty = false
 	}
 	s.round++
@@ -150,14 +150,6 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 	}
 	nw.scr.schedDelivered = delivered
 	return true
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // treeCongestion returns the maximum number of trees whose parent edges use
@@ -230,30 +222,25 @@ func (nw *Network) ccStateFor(trees []*graph.Tree) ccState {
 // initConvergecast seeds the dense state for one convergecast pass: every
 // member's accumulator starts at val(t, v), its pending count at its child
 // count, and the leaves' initial sends are pushed. Identical visit order
-// (tree-members order) and push order to the historical map-based setup.
+// (tree-members order) and push order to the historical map-based setup;
+// pending counts come from the trees' child indexes.
 func (st *ccState) initConvergecast(
 	nw *Network, sched *treeSched, trees []*graph.Tree, delays []int,
 	val func(t int, v graph.NodeID) Word,
 ) {
 	for t, tr := range trees {
 		base := t * st.n
-		for _, v := range tr.Members {
-			i := base + v
-			st.stamp[i] = st.epoch
-			st.pending[i] = 0
-			st.acc[i] = val(t, v)
-		}
-		for _, v := range tr.Members {
-			if p := tr.Parent[v]; p != -1 {
-				st.pending[base+p]++
-			}
+		for i, v := range tr.Members {
+			j := base + v
+			st.stamp[j] = st.epoch
+			st.pending[j] = int32(len(tr.Kids(i)))
+			st.acc[j] = val(t, v)
 		}
 		// Leaves are immediately ready to send to their parents.
-		for _, v := range tr.Members {
-			i := base + v
-			if st.pending[i] == 0 && v != tr.Root {
+		for i, v := range tr.Members[1:] {
+			if len(tr.Kids(i+1)) == 0 {
 				sched.push(nw.dirEdge(tr.ParentEdge[v], v), pendingSend{
-					tree: t, from: v, to: tr.Parent[v], w: st.acc[i],
+					tree: int32(t), from: v, to: tr.Parent[v], w: st.acc[base+v],
 					eligible: 1 + delays[t],
 				})
 			}
@@ -266,7 +253,7 @@ func (st *ccState) initConvergecast(
 // half of every convergecast.
 func (st *ccState) deliverUp(nw *Network, sched *treeSched, trees []*graph.Tree, agg Agg, ps pendingSend) {
 	tr := trees[ps.tree]
-	i := ps.tree*st.n + ps.to
+	i := int(ps.tree)*st.n + ps.to
 	st.acc[i] = agg(st.acc[i], ps.w)
 	st.pending[i]--
 	if st.pending[i] == 0 && ps.to != tr.Root {
@@ -275,40 +262,6 @@ func (st *ccState) deliverUp(nw *Network, sched *treeSched, trees []*graph.Tree,
 			eligible: sched.round + 1,
 		})
 	}
-}
-
-// ConvergecastMany aggregates, concurrently for every tree, the value
-// val(t, v) over the tree's members using agg, delivering the result to each
-// tree's root. Trees may share graph edges; every directed edge carries at
-// most one word per round, so the measured cost is the true scheduled
-// makespan (O(congestion + depth) with random delays, up to log factors).
-// Returns the per-tree root aggregates. Aside from the returned slice, a
-// steady-state call runs entirely on pooled flat state: cost
-// Θ(Σ members + scheduled rounds), zero allocation after warmup.
-func (nw *Network) ConvergecastMany(
-	trees []*graph.Tree,
-	val func(t int, v graph.NodeID) Word,
-	agg Agg,
-) ([]Word, error) {
-	if len(trees) == 0 {
-		return nil, ErrNoTrees
-	}
-	st := nw.ccStateFor(trees)
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(len(trees), nw.treeCongestion(trees))
-	st.initConvergecast(nw, sched, trees, delays, val)
-	deliver := func(ps pendingSend) { st.deliverUp(nw, sched, trees, agg, ps) }
-	for sched.step(deliver) {
-	}
-	out := make([]Word, len(trees))
-	for t, tr := range trees {
-		i := t*st.n + tr.Root
-		if st.stamp[i] != st.epoch || st.pending[i] != 0 {
-			return nil, fmt.Errorf("congest: convergecast of tree %d did not complete", t)
-		}
-		out[t] = st.acc[i]
-	}
-	return out, nil
 }
 
 // bcSeen marks (tree, node) receipt with the current epoch; returns whether
@@ -320,66 +273,6 @@ func (nw *Network) bcSeen(t int, v graph.NodeID) bool {
 	}
 	nw.scr.bcStamp[i] = nw.scr.epoch
 	return false
-}
-
-// BroadcastMany propagates, concurrently for every tree, the root value
-// rootVal[t] to all members. on(t, v, w) is invoked once per member with the
-// received value (including the root itself at round 0). Cost accounting is
-// identical to ConvergecastMany; like it, a steady-state call allocates
-// nothing.
-func (nw *Network) BroadcastMany(
-	trees []*graph.Tree,
-	rootVal []Word,
-	on func(t int, v graph.NodeID, w Word),
-) error {
-	if len(trees) == 0 {
-		return ErrNoTrees
-	}
-	if len(rootVal) != len(trees) {
-		return fmt.Errorf("congest: %d root values for %d trees", len(rootVal), len(trees))
-	}
-	k := len(trees)
-	nw.scr.nextEpoch(k * nw.g.N())
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(k, nw.treeCongestion(trees))
-	ci := nw.buildChildIndex(trees)
-	received := grownInts(nw.scr.recvCount, k)
-	nw.scr.recvCount = received
-	for i := range received {
-		received[i] = 0
-	}
-
-	fanOut := func(t int, v graph.NodeID, w Word, eligible int) {
-		for _, c := range ci.children(t, v) {
-			sched.push(nw.dirEdge(trees[t].ParentEdge[c], v), pendingSend{
-				tree: t, from: v, to: c, w: w, eligible: eligible,
-			})
-		}
-	}
-	for t, tr := range trees {
-		nw.bcSeen(t, tr.Root)
-		received[t]++
-		on(t, tr.Root, rootVal[t])
-		fanOut(t, tr.Root, rootVal[t], 1+delays[t])
-	}
-	deliver := func(ps pendingSend) {
-		if nw.bcSeen(ps.tree, ps.to) {
-			return
-		}
-		received[ps.tree]++
-		on(ps.tree, ps.to, ps.w)
-		fanOut(ps.tree, ps.to, ps.w, sched.round+1)
-	}
-	for sched.step(deliver) {
-	}
-
-	for t, tr := range trees {
-		if received[t] != len(tr.Members) {
-			return fmt.Errorf("congest: broadcast of tree %d reached %d of %d members",
-				t, received[t], len(tr.Members))
-		}
-	}
-	return nil
 }
 
 // AggregateMany runs a full part-wise aggregation round-trip on every tree:
@@ -400,12 +293,15 @@ func (nw *Network) AggregateMany(
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 ) ([]Word, error) {
-	up, err := nw.ConvergecastMany(trees, val, agg)
+	roots, _, err := nw.ConvergecastAll(trees, val, agg)
 	if err != nil {
 		return nil, err
 	}
-	if err := nw.BroadcastMany(trees, up, func(int, graph.NodeID, Word) {}); err != nil {
+	if err := nw.DownSweepMany(trees, roots, keepWord, func(int, graph.NodeID, Word) {}); err != nil {
 		return nil, err
 	}
-	return up, nil
+	return roots, nil
 }
+
+// keepWord is the identity down-sweep transform: a broadcast.
+func keepWord(_ int, _, _ graph.NodeID, w Word) Word { return w }

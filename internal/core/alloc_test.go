@@ -8,6 +8,9 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"distlap/internal/graph"
@@ -68,5 +71,46 @@ func TestPCGIterationAllocs(t *testing.T) {
 	if perIter > iterAllocBudget {
 		t.Fatalf("steady-state PCG iteration allocates %.2f, budget %d — new per-iteration state belongs in a pool",
 			perIter, iterAllocBudget)
+	}
+}
+
+// liveHeap forces a GC and returns the live heap it marked.
+func liveHeap() float64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
+}
+
+// TestSizeBytesTracksRetainedHeap holds the cache-budget estimate to the
+// heap a prepared instance really retains: the live heap that building the
+// graph and preparing it adds, around forced GCs, median of three runs.
+func TestSizeBytesTracksRetainedHeap(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *graph.Graph
+	}{
+		{"grid-50x50", func() *graph.Graph { return graph.Grid(50, 50) }},
+		{"regular-1024", func() *graph.Graph { return graph.RandomRegular(1024, 4, 5) }},
+	} {
+		var estimate int64
+		measured := make([]float64, 3)
+		for i := range measured {
+			before := liveHeap()
+			in, err := PrepareInstance(context.Background(), tc.build(), PrepareConfig{Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			measured[i] = liveHeap() - before
+			estimate = in.SizeBytes()
+			runtime.KeepAlive(in)
+		}
+		slices.Sort(measured)
+		ratio := float64(estimate) / measured[1]
+		t.Logf("%s: SizeBytes %d, retained %.0f, ratio %.3f", tc.name, estimate, measured[1], ratio)
+		if ratio < 0.95 || ratio > 1.05 {
+			t.Errorf("%s: SizeBytes %d is off the retained heap %.0f by more than 5%% (ratio %.3f)",
+				tc.name, estimate, measured[1], ratio)
+		}
 	}
 }

@@ -28,7 +28,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"distlap/internal/congest"
 	"distlap/internal/graph"
@@ -127,17 +126,7 @@ func NewCongestComm(nw *congest.Network, naive bool) (*CongestComm, error) {
 	if g.N() == 0 {
 		return nil, errors.New("core: empty graph")
 	}
-	center := graph.ApproxCenter(g)
-	var tree *graph.Tree
-	if nw.Supported() {
-		tree = graph.BFSTree(g, center)
-	} else {
-		res := nw.BFS(center)
-		tree = &graph.Tree{
-			Root: center, Parent: res.Parent, ParentEdge: res.ParentEdge,
-			Depth: res.Dist, Members: res.Order,
-		}
-	}
+	tree := nw.BFS(graph.ApproxCenter(g))
 	if len(tree.Members) != g.N() {
 		return nil, errors.New("core: graph disconnected")
 	}
@@ -266,60 +255,30 @@ func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, er
 	return trees, nil
 }
 
-// steinerTreeOfGlobal returns the subtree of the global tree spanning the
-// terminals (terminals plus all their tree ancestors up to the meeting
-// node), rooted at the shallowest included node.
+// steinerTreeOfGlobal returns the subtree of the (spanning) global tree
+// that joins the terminals: the terminals plus all their tree ancestors, so
+// it is rooted at the global root.
 func steinerTreeOfGlobal(g *graph.Graph, global *graph.Tree, terminals []graph.NodeID) *graph.Tree {
-	include := make(map[graph.NodeID]bool)
-	for _, t := range terminals {
-		v := t
-		for v != -1 && !include[v] {
-			include[v] = true
-			v = global.Parent[v]
-		}
-	}
-	// Root = minimum-depth included node; scan in sorted node order so a
-	// depth tie can never be broken by map iteration order.
-	steiner := make([]graph.NodeID, 0, len(include))
-	for v := range include {
-		steiner = append(steiner, v)
-	}
-	sort.Ints(steiner)
-	root := terminals[0]
-	for _, v := range steiner {
-		if global.Depth[v] < global.Depth[root] {
-			root = v
-		}
-	}
 	n := g.N()
-	tr := &graph.Tree{
-		Root:       root,
-		Parent:     make([]graph.NodeID, n),
-		ParentEdge: make([]graph.EdgeID, n),
-		Depth:      make([]int, n),
-	}
+	parent := make([]graph.NodeID, n)
+	parentEdge := make([]graph.EdgeID, n)
 	for i := 0; i < n; i++ {
-		tr.Parent[i] = -1
-		tr.ParentEdge[i] = -1
-		tr.Depth[i] = -1
+		parent[i], parentEdge[i] = -1, -1
+	}
+	for _, v := range terminals {
+		for ; v != global.Root && parent[v] == -1; v = global.Parent[v] {
+			parent[v], parentEdge[v] = global.Parent[v], global.ParentEdge[v]
+		}
 	}
 	// Members in global BFS order restricted to included nodes keeps
 	// parents before children.
+	var members []graph.NodeID
 	for _, v := range global.Members {
-		if !include[v] {
-			continue
+		if v == global.Root || parent[v] != -1 {
+			members = append(members, v)
 		}
-		if v == root {
-			tr.Depth[v] = 0
-		} else {
-			p := global.Parent[v]
-			tr.Parent[v] = p
-			tr.ParentEdge[v] = global.ParentEdge[v]
-			tr.Depth[v] = tr.Depth[p] + 1
-		}
-		tr.Members = append(tr.Members, v)
 	}
-	return tr
+	return graph.NewTree(members, parent, parentEdge)
 }
 
 // TreeUpDown implements Comm via the engine's concurrent sweep primitives.

@@ -293,43 +293,16 @@ func (in *Instance) iterate(c Comm, b []float64, pre Preconditioner, opts Option
 	return Iterate(c, b, pre, opts)
 }
 
-// SizeBytes estimates the resident size of the cached instance state —
-// graph, global tree, and preconditioner structures — for cache budgeting
-// (cmd/distlapd's LRU). It is a deterministic structural estimate, not a
-// measured allocation.
+// SizeBytes returns the resident size of the cached instance state —
+// graph, CSR view, global tree and preconditioner structures — summed from
+// the capacities of the slices it holds, for cache budgeting
+// (cmd/distlapd's LRU). It is deterministic: a pure function of the
+// prepared structures, not a heap measurement.
 func (in *Instance) SizeBytes() int64 {
-	const (
-		ptrSize   = 8
-		edgeSize  = 3 * 8 // U, V, Weight
-		halfSize  = 2 * 8 // To, Edge
-		sliceHdr  = 3 * 8
-		mapEntry  = 2 * 8 // key + bool bucket share, amortized
-		structPad = 64
-	)
-	n := int64(in.g.N())
-	m := int64(in.g.M())
-	bytes := int64(structPad)
-	bytes += m*edgeSize + 2*m*halfSize + n*sliceHdr // edges + adjacency
-	bytes += treeSizeBytes(in.tree)
+	const structs = 512 // Instance, Graph, CSR and preconditioner headers
+	bytes := structs + in.g.SizeBytes() + in.csr.SizeBytes() + in.tree.SizeBytes()
 	if sp, ok := in.pre.(*SchwarzPrecond); ok {
-		for _, cl := range sp.clusters {
-			// Node list plus the membership structure's per-member share
-			// (the same estimate the historical per-cluster member maps
-			// reported, so cached-size accounting is unchanged).
-			bytes += int64(len(cl)) * (ptrSize + mapEntry)
-		}
-		for _, t := range sp.trees {
-			bytes += treeSizeBytes(t)
-		}
-		bytes += 2 * n * 8 // count + invDeg
+		bytes += sp.sizeBytes()
 	}
 	return bytes
-}
-
-func treeSizeBytes(t *graph.Tree) int64 {
-	if t == nil {
-		return 0
-	}
-	n := int64(len(t.Parent))
-	return 3*n*8 + int64(len(t.Members))*8
 }

@@ -250,6 +250,18 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	return nil
 }
 
+// sizeBytes returns the bytes held by the prepared cluster state.
+func (p *SchwarzPrecond) sizeBytes() int64 {
+	bytes := int64(24*cap(p.clusters) + cap(p.member) + 8*(cap(p.trees)+cap(p.count)+cap(p.invDeg)))
+	for _, cl := range p.clusters {
+		bytes += int64(8 * cap(cl))
+	}
+	for _, t := range p.trees {
+		bytes += t.SizeBytes()
+	}
+	return bytes
+}
+
 // Clusters exposes the cluster node sets (experiments report p and sizes).
 func (p *SchwarzPrecond) Clusters() [][]graph.NodeID { return p.clusters }
 

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"testing"
+
+	"distlap/internal/congest"
+	"distlap/internal/graph"
+)
+
+// checkChildIndex verifies a tree's stored child index against its parent
+// pointers: Members[0] is the root, and Kids(i) lists exactly the members
+// whose parent is Members[i], in Members order.
+func checkChildIndex(t *testing.T, name string, tr *graph.Tree) {
+	t.Helper()
+	if len(tr.Members) < 2 || tr.Members[0] != tr.Root {
+		t.Fatalf("%s: %d members not starting at root %d", name, len(tr.Members), tr.Root)
+	}
+	for i, v := range tr.Members {
+		var want []int32
+		for j, c := range tr.Members {
+			if tr.Parent[c] == v {
+				want = append(want, int32(j))
+			}
+		}
+		got := tr.Kids(i)
+		if len(got) != len(want) {
+			t.Fatalf("%s: member %d has kids %v, want %v", name, v, got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%s: member %d has kids %v, want %v", name, v, got, want)
+			}
+		}
+	}
+}
+
+// TestTreeChildIndexEveryConstructor checks the child index of every tree
+// constructor on random connected graphs over several seeds.
+func TestTreeChildIndexEveryConstructor(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.RandomConnected(60, 40, 5, seed)
+		n := g.N()
+		bfs := graph.BFSTree(g, int(seed)%n)
+		checkChildIndex(t, "BFSTree", bfs)
+
+		// A member set that is not induced-connected, joined by extra edges
+		// whose endpoints the caller adds as relays (as partwise does).
+		var members []graph.NodeID
+		for v := 0; v < n; v += 3 {
+			members = append(members, v)
+		}
+		extra := []graph.EdgeID{}
+		seen := make([]bool, n)
+		for _, v := range members {
+			seen[v] = true
+		}
+		for id := 0; id < g.M(); id += 2 {
+			e := g.Edge(id)
+			extra = append(extra, id)
+			for _, x := range []graph.NodeID{e.U, e.V} {
+				if !seen[x] {
+					seen[x] = true
+					members = append(members, x)
+				}
+			}
+		}
+		checkChildIndex(t, "BFSTreeOfSubgraph", graph.BFSTreeOfSubgraph(g, members, extra, members[0]))
+
+		mst, _ := graph.MST(g)
+		checkChildIndex(t, "TreeFromEdges", graph.TreeFromEdges(g, mst, n-1))
+		checkChildIndex(t, "LowStretchTree", graph.LowStretchTree(g, seed))
+
+		nw := congest.NewNetwork(g, congest.Options{Seed: seed})
+		engine := nw.BFS(0)
+		if nw.Rounds() == 0 {
+			t.Fatalf("engine BFS charged no rounds")
+		}
+		checkChildIndex(t, "engine BFS", engine)
+
+		terminals := []graph.NodeID{n - 1, n / 2, 7, n / 3}
+		checkChildIndex(t, "naive Steiner tree", steinerTreeOfGlobal(g, engine, terminals))
+	}
+}

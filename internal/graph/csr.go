@@ -42,6 +42,12 @@ type CSR struct {
 	WDeg []float64 // length n
 }
 
+// SizeBytes returns the bytes held by the CSR's arrays.
+func (c *CSR) SizeBytes() int64 {
+	return int64(4*(cap(c.RowStart)+cap(c.HalfTo)+cap(c.HalfEdge)+cap(c.EdgeU)+cap(c.EdgeV)) +
+		8*(cap(c.HalfW)+cap(c.EdgeW)+cap(c.WDeg)))
+}
+
 // N returns the number of nodes.
 func (c *CSR) N() int { return len(c.RowStart) - 1 }
 

@@ -67,6 +67,16 @@ func New(n int) *Graph {
 	}
 }
 
+// SizeBytes returns the bytes held by g's edge list and adjacency lists
+// (an Edge is 24 bytes, a Half 16, a slice header 24).
+func (g *Graph) SizeBytes() int64 {
+	bytes := int64(24*cap(g.edges) + 24*cap(g.adj))
+	for _, a := range g.adj {
+		bytes += int64(16 * cap(a))
+	}
+	return bytes
+}
+
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

@@ -268,10 +268,9 @@ func TestBFSTree(t *testing.T) {
 	if len(tr.Members) != 16 {
 		t.Fatalf("members=%d", len(tr.Members))
 	}
-	ch := tr.Children()
 	total := 0
-	for _, c := range ch {
-		total += len(c)
+	for i := range tr.Members {
+		total += len(tr.Kids(i))
 	}
 	if total != 15 {
 		t.Fatalf("child-edges=%d, want 15", total)

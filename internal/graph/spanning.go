@@ -2,15 +2,22 @@ package graph
 
 import "sort"
 
-// Tree is a rooted spanning tree (or spanning forest component) of a graph,
-// stored as parent pointers in the host graph's node ID space. Nodes outside
-// the tree have Parent == -1 and InTree == false.
+// Tree is a rooted tree of a graph, stored as parent pointers in the host
+// graph's node ID space plus a member-sized child index. Nodes outside the
+// tree have Parent == -1 and Depth == -1. Trees come from this package's
+// constructors (NewTree, BFSTree, BFSTreeOfSubgraph, TreeFromEdges,
+// LowStretchTree), each of which builds the child index exactly once.
 type Tree struct {
 	Root       NodeID
 	Parent     []NodeID // -1 for root and non-members
 	ParentEdge []EdgeID // host-graph edge to parent; -1 where Parent == -1
 	Depth      []int    // hop depth from root; -1 for non-members
-	Members    []NodeID // member nodes in BFS order from the root
+	Members    []NodeID // member nodes, Root first, every parent before its children
+
+	// The children of Members[i] sit at positions kids[kidStart[i]:kidStart[i+1]]
+	// of Members, in Members order.
+	kidStart []int32
+	kids     []int32
 }
 
 // Height returns the maximum depth of any member.
@@ -29,29 +36,69 @@ func (t *Tree) Contains(v NodeID) bool {
 	return v >= 0 && v < len(t.Depth) && t.Depth[v] >= 0
 }
 
-// Children returns, for each node, the list of its tree children (indexed by
-// host node ID). Computing this is linear in the number of members.
-func (t *Tree) Children() [][]NodeID {
-	ch := make([][]NodeID, len(t.Parent))
-	for _, v := range t.Members {
-		if p := t.Parent[v]; p != -1 {
-			ch[p] = append(ch[p], v)
-		}
+// Kids returns the positions in Members of the children of Members[i], in
+// Members order. The slice aliases the tree's index and must not be
+// modified.
+func (t *Tree) Kids(i int) []int32 { return t.kids[t.kidStart[i]:t.kidStart[i+1]] }
+
+// SizeBytes returns the bytes held by the tree: its header and the
+// capacities of its arrays.
+func (t *Tree) SizeBytes() int64 {
+	const header = 8 + 6*24 // Root and six slice headers
+	return header + int64(8*(cap(t.Parent)+cap(t.ParentEdge)+cap(t.Depth)+cap(t.Members))+
+		4*(cap(t.kidStart)+cap(t.kids)))
+}
+
+// NewTree returns the tree whose members are members, rooted at
+// members[0], adopting the host-indexed parent pointers parent and
+// parentEdge (-1 at the root and at non-members). Every member's parent
+// must precede it in members. Depth and the child index are computed here.
+func NewTree(members []NodeID, parent []NodeID, parentEdge []EdgeID) *Tree {
+	depth := make([]int, len(parent))
+	for i := range depth {
+		depth[i] = -1
 	}
-	return ch
+	return newTree(members, parent, parentEdge, depth)
+}
+
+// newTree is NewTree over a caller-supplied depth array, which must be -1
+// at non-members. Its member slots are overwritten: first with each
+// member's position, so the child index is built from member-sized storage
+// alone, then with the member's depth.
+func newTree(members []NodeID, parent []NodeID, parentEdge []EdgeID, depth []int) *Tree {
+	t := &Tree{Root: members[0], Parent: parent, ParentEdge: parentEdge, Depth: depth, Members: members}
+	pos := depth
+	for i, v := range members {
+		pos[v] = i
+	}
+	// Count each member's children at its own slot, prefix-sum to range
+	// ends, then fill backwards so each range ends up in Members order and
+	// its slot holds the range start.
+	m := len(members)
+	t.kidStart = make([]int32, m+1)
+	t.kids = make([]int32, max(m-1, 0))
+	for _, v := range members[1:] {
+		t.kidStart[pos[parent[v]]]++
+	}
+	for i := 1; i <= m; i++ {
+		t.kidStart[i] += t.kidStart[i-1]
+	}
+	for j := m - 1; j > 0; j-- {
+		p := pos[parent[members[j]]]
+		t.kidStart[p]--
+		t.kids[t.kidStart[p]] = int32(j)
+	}
+	depth[members[0]] = 0
+	for _, v := range members[1:] {
+		depth[v] = depth[parent[v]] + 1
+	}
+	return t
 }
 
 // BFSTree returns the BFS spanning tree of root's component.
 func BFSTree(g *Graph, root NodeID) *Tree {
 	res := BFS(g, root)
-	t := &Tree{
-		Root:       root,
-		Parent:     res.Parent,
-		ParentEdge: res.ParentEdge,
-		Depth:      res.Dist,
-		Members:    res.Order,
-	}
-	return t
+	return newTree(res.Order, res.Parent, res.ParentEdge, res.Dist)
 }
 
 // BFSTreeOfSubgraph returns the BFS tree of the subgraph of g induced by
@@ -115,34 +162,33 @@ func BFSTreeOfSubgraph(g *Graph, members []NodeID, extraEdges []EdgeID, root Nod
 		halfTo[next[e.V]], halfEdge[next[e.V]] = int32(e.U), int32(id)
 		next[e.V]++
 	}
-	t := &Tree{
-		Root:       root,
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-		Depth:      make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		t.Parent[i] = -1
-		t.ParentEdge[i] = -1
-		t.Depth[i] = -1
-	}
-	t.Depth[root] = 0
+	parent, parentEdge, depth := unrootedArrays(n)
+	depth[root] = 0
 	queue := make([]NodeID, 0, len(members))
 	queue = append(queue, root)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		t.Members = append(t.Members, v)
 		for i := start[v]; i < start[v+1]; i++ {
 			to := NodeID(halfTo[i])
-			if t.Depth[to] == -1 {
-				t.Depth[to] = t.Depth[v] + 1
-				t.Parent[to] = v
-				t.ParentEdge[to] = EdgeID(halfEdge[i])
+			if depth[to] == -1 {
+				depth[to] = depth[v] + 1
+				parent[to] = v
+				parentEdge[to] = EdgeID(halfEdge[i])
 				queue = append(queue, to)
 			}
 		}
 	}
-	return t
+	return newTree(queue, parent, parentEdge, depth)
+}
+
+// unrootedArrays returns n-long parent, parent-edge and depth arrays with
+// every slot -1.
+func unrootedArrays(n int) ([]NodeID, []EdgeID, []int) {
+	parent, parentEdge, depth := make([]NodeID, n), make([]EdgeID, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		parent[i], parentEdge[i], depth[i] = -1, -1, -1
+	}
+	return parent, parentEdge, depth
 }
 
 // UnionFind is a disjoint-set forest with union by rank and path halving.
@@ -231,34 +277,21 @@ func TreeFromEdges(g *Graph, edgeIDs []EdgeID, root NodeID) *Tree {
 		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
 		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
 	}
-	n := g.N()
-	t := &Tree{
-		Root:       root,
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-		Depth:      make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		t.Parent[i] = -1
-		t.ParentEdge[i] = -1
-		t.Depth[i] = -1
-	}
-	t.Depth[root] = 0
+	parent, parentEdge, depth := unrootedArrays(g.N())
+	depth[root] = 0
 	queue := []NodeID{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		t.Members = append(t.Members, v)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, h := range adj[v] {
-			if t.Depth[h.To] == -1 {
-				t.Depth[h.To] = t.Depth[v] + 1
-				t.Parent[h.To] = v
-				t.ParentEdge[h.To] = h.Edge
+			if depth[h.To] == -1 {
+				depth[h.To] = depth[v] + 1
+				parent[h.To] = v
+				parentEdge[h.To] = h.Edge
 				queue = append(queue, h.To)
 			}
 		}
 	}
-	return t
+	return newTree(queue, parent, parentEdge, depth)
 }
 
 // PathInTree returns the node sequence from u up to the lowest common

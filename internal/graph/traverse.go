@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // BFSResult holds the outcome of a breadth-first search from a root:
 // hop distances, BFS-tree parents and the parent edge used, in visit order.
 type BFSResult struct {
@@ -14,18 +16,8 @@ type BFSResult struct {
 // the paper's hop-diameter does).
 func BFS(g *Graph, root NodeID) *BFSResult {
 	n := g.N()
-	res := &BFSResult{
-		Root:       root,
-		Dist:       make([]int, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-		Order:      make([]NodeID, 0, n),
-	}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-		res.Parent[i] = -1
-		res.ParentEdge[i] = -1
-	}
+	res := &BFSResult{Root: root, Order: make([]NodeID, 0, n)}
+	res.Parent, res.ParentEdge, res.Dist = unrootedArrays(n)
 	res.Dist[root] = 0
 	queue := []NodeID{root}
 	for len(queue) > 0 {
@@ -125,7 +117,7 @@ func Components(g *Graph) [][]NodeID {
 				}
 			}
 		}
-		intSort(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -165,43 +157,6 @@ func InducedConnected(g *Graph, nodes []NodeID) bool {
 		}
 	}
 	return len(seen) == len(nodes)
-}
-
-func intSort(a []int) {
-	// Insertion sort is fine for the small components produced in tests;
-	// fall back to a shell-ish pass for larger inputs.
-	if len(a) > 64 {
-		quicksortInts(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func quicksortInts(a []int) {
-	if len(a) < 2 {
-		return
-	}
-	pivot := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for a[lo] < pivot {
-			lo++
-		}
-		for a[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	quicksortInts(a[:hi+1])
-	quicksortInts(a[lo:])
 }
 
 // ApproxCenter returns a low-eccentricity node via a double sweep: BFS from

@@ -28,55 +28,47 @@ func decomposePart(g *graph.Graph, part []graph.NodeID, partIdx int) ([]decompos
 	if len(tr.Members) != len(part) {
 		return nil, fmt.Errorf("partwise: part %d not induced-connected", partIdx)
 	}
-	children := tr.Children()
-	// Subtree sizes via reverse BFS order.
-	size := make(map[graph.NodeID]int, len(part))
-	for i := len(tr.Members) - 1; i >= 0; i-- {
-		v := tr.Members[i]
-		s := 1
-		for _, c := range children[v] {
-			s += size[c]
-		}
-		size[v] = s
-	}
-	heavy := make(map[graph.NodeID]graph.NodeID, len(part))
-	for _, v := range tr.Members {
-		best, bestSize := graph.NodeID(-1), -1
-		for _, c := range children[v] {
-			if size[c] > bestSize {
-				best, bestSize = c, size[c]
+	// Subtree sizes and heavy children, by position in Members, via
+	// reverse BFS order.
+	m := len(tr.Members)
+	size := make([]int, m)
+	heavy := make([]int, m)
+	for i := m - 1; i >= 0; i-- {
+		size[i], heavy[i] = 1, -1
+		for _, c := range tr.Kids(i) {
+			size[i] += size[c]
+			if heavy[i] == -1 || size[c] > size[heavy[i]] {
+				heavy[i] = int(c)
 			}
 		}
-		heavy[v] = best
 	}
 
 	var paths []decomposedPath
 	type start struct {
-		node  graph.NodeID
+		pos   int
 		level int
 	}
-	stack := []start{{node: tr.Root, level: 0}}
+	stack := []start{{pos: 0, level: 0}}
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		head := tr.Members[st.pos]
 		dp := decomposedPath{
 			part:       partIdx,
 			level:      st.level,
-			attach:     tr.Parent[st.node],
-			attachEdge: tr.ParentEdge[st.node],
+			attach:     tr.Parent[head],
+			attachEdge: tr.ParentEdge[head],
 		}
-		v := st.node
-		for v != -1 {
-			dp.nodes = append(dp.nodes, v)
-			if h := heavy[v]; h != -1 {
-				dp.edges = append(dp.edges, tr.ParentEdge[h])
+		for i := st.pos; i != -1; i = heavy[i] {
+			dp.nodes = append(dp.nodes, tr.Members[i])
+			if h := heavy[i]; h != -1 {
+				dp.edges = append(dp.edges, tr.ParentEdge[tr.Members[h]])
 			}
-			for _, c := range children[v] {
-				if c != heavy[v] {
-					stack = append(stack, start{node: c, level: st.level + 1})
+			for _, c := range tr.Kids(i) {
+				if int(c) != heavy[i] {
+					stack = append(stack, start{pos: int(c), level: st.level + 1})
 				}
 			}
-			v = heavy[v]
 		}
 		paths = append(paths, dp)
 	}

@@ -109,16 +109,7 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 	}
 	nw.Trace().Begin("pwa-naive")
 	defer nw.Trace().End("pwa-naive")
-	var tree *graph.Tree
-	if nw.Supported() {
-		tree = graph.BFSTree(g, 0)
-	} else {
-		res := nw.BFS(0) // pays O(D) rounds
-		tree = &graph.Tree{
-			Root: 0, Parent: res.Parent, ParentEdge: res.ParentEdge,
-			Depth: res.Dist, Members: res.Order,
-		}
-	}
+	tree := nw.BFS(0) // pays O(D) rounds unless Supported
 	if len(tree.Members) != g.N() {
 		return nil, fmt.Errorf("partwise: graph disconnected")
 	}

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -119,7 +120,7 @@ func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.Edg
 	for v := range parentEdgeOf {
 		walked = append(walked, v)
 	}
-	sortNodeIDs(walked)
+	slices.Sort(walked)
 	childCount := make(map[graph.NodeID]int)
 	for _, v := range walked {
 		if marked[tree.Parent[v]] {

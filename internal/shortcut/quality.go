@@ -2,7 +2,7 @@ package shortcut
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"distlap/internal/graph"
@@ -114,23 +114,21 @@ func TreePartition(g *graph.Graph, k int) [][]graph.NodeID {
 	if len(tr.Members) != n {
 		return nil // disconnected
 	}
-	children := tr.Children()
 	var parts [][]graph.NodeID
-	// bucket[v] collects v's residual subtree nodes not yet emitted.
+	// bucket[i] collects Members[i]'s residual subtree nodes not yet emitted.
 	bucket := make([][]graph.NodeID, n)
 	// Iterate members in reverse BFS order = children before parents.
 	for i := len(tr.Members) - 1; i >= 0; i-- {
-		v := tr.Members[i]
-		acc := []graph.NodeID{v}
-		for _, c := range children[v] {
+		acc := []graph.NodeID{tr.Members[i]}
+		for _, c := range tr.Kids(i) {
 			acc = append(acc, bucket[c]...)
 			bucket[c] = nil
 		}
-		if len(acc) >= target || v == tr.Root {
-			sort.Ints(acc)
+		if len(acc) >= target || i == 0 {
+			slices.Sort(acc)
 			parts = append(parts, acc)
 		} else {
-			bucket[v] = acc
+			bucket[i] = acc
 		}
 	}
 	return parts
@@ -160,7 +158,7 @@ func LayerPartition(g *graph.Graph, root graph.NodeID) [][]graph.NodeID {
 			for i, lv := range comp {
 				part[i] = orig[lv]
 			}
-			sort.Ints(part)
+			slices.Sort(part)
 			parts = append(parts, part)
 		}
 	}

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -197,7 +198,7 @@ func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
 	for v := range sep {
 		pending = append(pending, v)
 	}
-	sortNodeIDs(pending)
+	slices.Sort(pending)
 	for len(pending) > 0 {
 		progress := false
 		next := pending[:0]

@@ -22,7 +22,7 @@ package shortcut
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -189,11 +189,9 @@ func keys(m map[graph.NodeID]bool) []graph.NodeID {
 		out = append(out, v)
 	}
 	// Deterministic order for reproducible BFS trees.
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
-
-func sortNodeIDs(a []graph.NodeID) { sort.Ints(a) }
 
 // Builder constructs a shortcut for a partition of g.
 type Builder interface {
