@@ -34,12 +34,15 @@ test:
 # Allocation-regression budgets for the pooled hot paths (PERFORMANCE.md):
 # steady-state Exchange at 0 allocs/round, AggregateMany and the
 # ConvergecastAll + DownSweepMany pair at 1 alloc/call, a PCG iteration
-# within its fixed budget — plus Instance.SizeBytes held within 5% of the
-# heap a prepared instance retains. The tests are `//go:build !race`
-# because the race runtime changes allocation counts, so this is a separate
-# plain-runtime pass; `make test` covers the same code for correctness.
+# within its fixed budget, BFS over a part held to part-sized scratch
+# (BFSTreeOfSubgraph's bytes on a 10⁴-node host, shortcut.Verify's bytes
+# equal on 10³- and 10⁴-node hosts) — plus Instance.SizeBytes held within
+# 5% of the heap a prepared instance retains. The tests are
+# `//go:build !race` because the race runtime changes allocation counts,
+# so this is a separate plain-runtime pass; `make test` covers the same
+# code for correctness.
 alloc-check:
-	$(GO) test -run 'Allocs|RetainedHeap' ./internal/congest ./internal/core
+	$(GO) test -run 'Allocs|RetainedHeap' ./internal/congest ./internal/core ./internal/graph ./internal/shortcut
 
 # distbench (the end-to-end benchmark of BENCHMARK.json) is its own Go
 # module, so `go build ./...` above never compiles it; this target vets and

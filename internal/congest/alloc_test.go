@@ -62,7 +62,7 @@ func TestAggregateManySteadyStateAllocs(t *testing.T) {
 func TestTreeSweepPairSteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(12, 12)
 	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
-	trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 77), graph.BFSTreeOfSubgraph(g, []graph.NodeID{0, 1, 12, 13}, nil, 13)}
+	trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 77), graph.BFSTreeOfSubgraph(g, []graph.NodeID{0, 1, 12, 13}, 13)}
 	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 	var sink Word
 	sweep := func() {

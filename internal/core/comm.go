@@ -246,7 +246,7 @@ func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, er
 			trees[i] = steinerTreeOfGlobal(g, c.globalTree, cl)
 			continue
 		}
-		tr := graph.BFSTreeOfSubgraph(g, cl, nil, cl[0])
+		tr := graph.BFSTreeOfSubgraph(g, cl, cl[0])
 		if len(tr.Members) != len(cl) {
 			return nil, fmt.Errorf("core: cluster %d not induced-connected", i)
 		}

@@ -257,6 +257,9 @@ func TestInducedConnected(t *testing.T) {
 	if !InducedConnected(g, []NodeID{4}) || !InducedConnected(g, nil) {
 		t.Fatal("singleton/empty should be vacuously connected")
 	}
+	if InducedConnected(g, []NodeID{0, 1, 0}) {
+		t.Fatal("a list repeating a node is reported as not connected")
+	}
 }
 
 func TestBFSTree(t *testing.T) {
@@ -285,14 +288,14 @@ func TestBFSTree(t *testing.T) {
 func TestBFSTreeOfSubgraph(t *testing.T) {
 	g := Grid(3, 3)
 	// Two opposite corners plus a shortcut edge joining them directly.
-	id := g.MustAddEdge(0, 8, 1)
-	tr := BFSTreeOfSubgraph(g, []NodeID{0, 8}, []EdgeID{id}, 0)
+	g.MustAddEdge(0, 8, 1)
+	tr := BFSTreeOfSubgraph(g, []NodeID{0, 8}, 0)
 	if len(tr.Members) != 2 || tr.Depth[8] != 1 {
 		t.Fatalf("shortcut subtree wrong: members=%v depth8=%d", tr.Members, tr.Depth[8])
 	}
-	// Without the extra edge the corners are separate (fresh grid, since g
+	// Without that edge the corners are separate (fresh grid, since g
 	// itself was augmented above).
-	tr2 := BFSTreeOfSubgraph(Grid(3, 3), []NodeID{0, 8}, nil, 0)
+	tr2 := BFSTreeOfSubgraph(Grid(3, 3), []NodeID{0, 8}, 0)
 	if tr2.Contains(8) {
 		t.Fatal("unreachable member should not be in tree")
 	}

@@ -174,7 +174,7 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 			if len(cl) < 2 {
 				continue
 			}
-			tr := BFSTreeOfSubgraph(q, cl, nil, cl[0])
+			tr := BFSTreeOfSubgraph(q, cl, cl[0])
 			for _, v := range tr.Members {
 				if tr.Parent[v] == -1 {
 					continue

@@ -101,84 +101,41 @@ func BFSTree(g *Graph, root NodeID) *Tree {
 	return newTree(res.Order, res.Parent, res.ParentEdge, res.Dist)
 }
 
-// BFSTreeOfSubgraph returns the BFS tree of the subgraph of g induced by
-// member nodes and the extra edges listed in extraEdges (which may leave the
-// induced subgraph's edge set but must join member nodes), rooted at root.
-// This is exactly the structure Proposition 6 aggregates over: G[P_i] ∪ H_i.
+// BFSTreeOfSubgraph returns the BFS tree, rooted at root, of the subgraph
+// of g induced by members. This is exactly the structure Proposition 6
+// aggregates over, G[P_i] ∪ H_i, once the endpoints of H_i are listed as
+// members: every edge joining two members is an edge of the induced
+// subgraph. Members must be distinct and root must be one of them (a root
+// outside members yields the one-node tree {root}); members unreachable
+// from root are left out of the tree.
 //
-// The construction is entirely flat (stamp arrays and a count-then-fill
-// restricted adjacency, no maps), Θ(n + m + Σ deg(member)) time; the BFS
-// visits half-edges in edge-first-seen order — the order the historical
-// map-based builder appended them in — so the returned tree is
-// bit-identical to what that builder produced for every input.
-func BFSTreeOfSubgraph(g *Graph, members []NodeID, extraEdges []EdgeID, root NodeID) *Tree {
-	n := g.N()
-	in := make([]bool, n)
+// The BFS runs on a PartAdj of members, with member-sized scratch, in
+// Θ(Σ deg(member)) time; only the returned tree's Parent, ParentEdge and
+// Depth arrays are n long, which makes the total Θ(n + Σ deg(member)).
+// Half-edges are visited in edge-first-seen order (see NewPartAdj), which
+// fixes the parent every BFS tie resolves to.
+func BFSTreeOfSubgraph(g *Graph, members []NodeID, root NodeID) *Tree {
+	parent, parentEdge, depth := unrootedArrays(g.N())
+	// The depth slots hold each member's position until the BFS is done.
+	for i, v := range members {
+		depth[v] = i
+	}
+	var order, via []int32
+	if r := depth[root]; r >= 0 {
+		adj := NewPartAdj(g, members, func(v NodeID) int { return depth[v] })
+		via = make([]int32, len(members))
+		order = adj.BFS(r, make([]int32, len(members)), via, make([]int32, 0, len(members)))
+	}
 	for _, v := range members {
-		in[v] = true
+		depth[v] = -1
 	}
-	// Collect the restricted edge set in first-seen order: induced edges in
-	// (member-scan, neighbor-scan) order, then the extra edges. The order
-	// matters — it fixes which parent a BFS tie resolves to.
-	seen := make([]bool, g.M())
-	edges := make([]EdgeID, 0, len(members)*2)
-	for _, v := range members {
-		for _, h := range g.Neighbors(v) {
-			if in[h.To] && !seen[h.Edge] {
-				seen[h.Edge] = true
-				edges = append(edges, h.Edge)
-			}
-		}
+	tree := append(make([]NodeID, 0, len(members)), root)
+	for j := 1; j < len(order); j++ {
+		v, e := members[order[j]], EdgeID(via[order[j]])
+		parent[v], parentEdge[v] = g.Other(e, v), e
+		tree = append(tree, v)
 	}
-	for _, id := range extraEdges {
-		if !seen[id] {
-			seen[id] = true
-			e := g.Edge(id)
-			if in[e.U] && in[e.V] {
-				edges = append(edges, id)
-			}
-		}
-	}
-	// Restricted adjacency as a CSR: count, prefix-sum, fill. Filling in
-	// edge order keeps each node's half-edges in the same relative order a
-	// per-edge append would have produced.
-	start := make([]int32, n+1)
-	for _, id := range edges {
-		e := g.Edge(id)
-		start[e.U+1]++
-		start[e.V+1]++
-	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
-	}
-	next := make([]int32, n)
-	copy(next, start[:n])
-	halfTo := make([]int32, 2*len(edges))
-	halfEdge := make([]int32, 2*len(edges))
-	for _, id := range edges {
-		e := g.Edge(id)
-		halfTo[next[e.U]], halfEdge[next[e.U]] = int32(e.V), int32(id)
-		next[e.U]++
-		halfTo[next[e.V]], halfEdge[next[e.V]] = int32(e.U), int32(id)
-		next[e.V]++
-	}
-	parent, parentEdge, depth := unrootedArrays(n)
-	depth[root] = 0
-	queue := make([]NodeID, 0, len(members))
-	queue = append(queue, root)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for i := start[v]; i < start[v+1]; i++ {
-			to := NodeID(halfTo[i])
-			if depth[to] == -1 {
-				depth[to] = depth[v] + 1
-				parent[to] = v
-				parentEdge[to] = EdgeID(halfEdge[i])
-				queue = append(queue, to)
-			}
-		}
-	}
-	return newTree(queue, parent, parentEdge, depth)
+	return newTree(tree, parent, parentEdge, depth)
 }
 
 // unrootedArrays returns n-long parent, parent-edge and depth arrays with

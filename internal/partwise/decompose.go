@@ -24,7 +24,7 @@ type decomposedPath struct {
 
 // decomposePart heavy-path-decomposes the BFS spanning tree of the part.
 func decomposePart(g *graph.Graph, part []graph.NodeID, partIdx int) ([]decomposedPath, error) {
-	tr := graph.BFSTreeOfSubgraph(g, part, nil, part[0])
+	tr := graph.BFSTreeOfSubgraph(g, part, part[0])
 	if len(tr.Members) != len(part) {
 		return nil, fmt.Errorf("partwise: part %d not induced-connected", partIdx)
 	}

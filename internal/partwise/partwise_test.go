@@ -413,3 +413,24 @@ func TestLayeredCongestedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSolveOneCongested runs Proposition 6 end to end — portfolio
+// shortcut build and certification, one BFS tree per augmented part, one
+// concurrent aggregation — for a √n-part tree partition of the host of
+// distbench's mst-serve workload (500 nodes, 500 edges beyond a spanning
+// tree), on one reused Supported-CONGEST network.
+func BenchmarkSolveOneCongested(b *testing.B) {
+	g := graph.RandomConnected(500, 500, 100, 1)
+	parts := shortcut.TreePartition(g, 22)
+	nw := newNet(g, true)
+	val := func(i int, v graph.NodeID) congest.Word { return congest.Word(v) }
+	start := nw.Rounds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := SolveOneCongested(nw, parts, val, Sum, shortcut.DefaultPortfolio()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(nw.Rounds()-start)/float64(b.N), "rounds/op")
+}

@@ -57,7 +57,8 @@ func SolveOneCongested(
 			members[i][v] = true
 			memberList = append(memberList, v)
 		}
-		// Extra-edge endpoints join the tree as relays.
+		// Extra-edge endpoints join the tree as relays; the induced
+		// subgraph on part plus relays contains every edge of H_i.
 		seen := make(map[graph.NodeID]bool, len(p))
 		for _, v := range p {
 			seen[v] = true
@@ -71,7 +72,7 @@ func SolveOneCongested(
 				}
 			}
 		}
-		trees[i] = graph.BFSTreeOfSubgraph(g, memberList, sc.Extra[i], p[0])
+		trees[i] = graph.BFSTreeOfSubgraph(g, memberList, p[0])
 		if len(trees[i].Members) != len(memberList) {
 			return nil, nil, fmt.Errorf("partwise: augmented part %d disconnected", i)
 		}

@@ -86,7 +86,7 @@ func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut,
 		ri := smallestCommon(p)
 		reg := &regions[ri]
 		if reg.tree == nil {
-			reg.tree = graph.BFSTreeOfSubgraph(g, reg.nodes, nil, graph.ApproxCenterOf(g, reg.nodes))
+			reg.tree = graph.BFSTreeOfSubgraph(g, reg.nodes, graph.ApproxCenterOf(g, reg.nodes))
 			if len(reg.tree.Members) != len(reg.nodes) {
 				return nil, fmt.Errorf("shortcut: region %d disconnected", ri)
 			}
@@ -145,7 +145,7 @@ func buildRegionHierarchy(g *graph.Graph, minRegion int) ([]region, []int, error
 // largest one. Returns nil when no balanced split exists.
 func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
 	root := graph.ApproxCenterOf(g, nodes)
-	tr := graph.BFSTreeOfSubgraph(g, nodes, nil, root)
+	tr := graph.BFSTreeOfSubgraph(g, nodes, root)
 	if len(tr.Members) != len(nodes) {
 		return nil
 	}

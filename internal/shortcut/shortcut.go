@@ -45,11 +45,13 @@ func (s *Shortcut) Quality() int { return s.Congestion + s.Dilation }
 var (
 	ErrEmptyPart        = errors.New("shortcut: empty part")
 	ErrPartDisconnected = errors.New("shortcut: part not induced-connected")
+	ErrDuplicateNode    = errors.New("shortcut: part lists a node twice")
 	ErrPartsMismatch    = errors.New("shortcut: extra edge sets do not match parts")
 )
 
-// ValidateParts checks that every part is nonempty, within range and
-// induced-connected in g (the precondition of Definitions 4/5).
+// ValidateParts checks that every part is nonempty, within range, free of
+// repeated nodes and induced-connected in g (the precondition of
+// Definitions 4/5).
 func ValidateParts(g *graph.Graph, parts [][]graph.NodeID) error {
 	for i, p := range parts {
 		if len(p) == 0 {
@@ -58,6 +60,13 @@ func ValidateParts(g *graph.Graph, parts [][]graph.NodeID) error {
 		for _, v := range p {
 			if v < 0 || v >= g.N() {
 				return fmt.Errorf("part %d: %w: node %d", i, graph.ErrNodeRange, v)
+			}
+		}
+		sorted := slices.Clone(p)
+		slices.Sort(sorted)
+		for j := 1; j < len(sorted); j++ {
+			if sorted[j] == sorted[j-1] {
+				return fmt.Errorf("part %d: %w: node %d", i, ErrDuplicateNode, sorted[j])
 			}
 		}
 		if !graph.InducedConnected(g, p) {
@@ -123,30 +132,32 @@ func Verify(g *graph.Graph, s *Shortcut) error {
 // augmentedDiameter returns the hop-diameter of the subgraph on the node set
 // touched by G[P] ∪ H (part nodes plus extra-edge endpoints).
 func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID) (int, error) {
-	nodes := map[graph.NodeID]bool{}
-	for _, v := range part {
-		nodes[v] = true
-	}
+	nodes := make([]graph.NodeID, 0, len(part)+2*len(extra))
+	nodes = append(nodes, part...)
 	for _, id := range extra {
 		e := g.Edge(id)
-		nodes[e.U] = true
-		nodes[e.V] = true
+		nodes = append(nodes, e.U, e.V)
 	}
+	// Sorted once: a deterministic adjacency and sweep order.
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	pos := graph.SortedPos(nodes)
+	adj := graph.NewPartAdj(g, nodes, pos)
+	dist, order := make([]int32, len(nodes)), make([]int32, 0, len(nodes))
 	// The dilation certificate must be an upper bound. For small augmented
 	// parts compute the exact diameter (all-pairs BFS); for large ones use
 	// the 2-approximation upper bound 2·ecc(x), refined by a double sweep
 	// so the reported value is max(ecc(far), min over the two sweeps of
 	// 2·ecc) — still a valid upper bound, at most 2× the truth.
-	ordered := keys(nodes) // sorted once: deterministic BFS input and sweep order
-	sweep := func(root graph.NodeID) (int, int, error) {
-		tr := graph.BFSTreeOfSubgraph(g, ordered, extra, root)
-		if len(tr.Members) != len(nodes) {
+	sweep := func(root int) (int, int, error) {
+		order = adj.BFS(root, dist, nil, order)
+		if len(order) != len(nodes) {
 			return 0, 0, fmt.Errorf("augmented part disconnected: %w", ErrPartDisconnected)
 		}
 		far, ecc := root, 0
-		for _, v := range tr.Members {
-			if tr.Depth[v] > ecc {
-				ecc, far = tr.Depth[v], v
+		for _, i := range order {
+			if d := int(dist[i]); d > ecc {
+				ecc, far = d, int(i)
 			}
 		}
 		return ecc, far, nil
@@ -154,8 +165,8 @@ func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID
 	const exactCutoff = 192
 	if len(nodes) <= exactCutoff {
 		diam := 0
-		for _, v := range ordered {
-			ecc, _, err := sweep(v)
+		for i := range nodes {
+			ecc, _, err := sweep(i)
 			if err != nil {
 				return 0, err
 			}
@@ -165,7 +176,7 @@ func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID
 		}
 		return diam, nil
 	}
-	ecc1, far, err := sweep(part[0])
+	ecc1, far, err := sweep(pos(part[0]))
 	if err != nil {
 		return 0, err
 	}

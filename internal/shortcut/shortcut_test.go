@@ -32,6 +32,13 @@ func TestValidateParts(t *testing.T) {
 	if err := ValidateParts(g, [][]graph.NodeID{{0, 99}}); !errors.Is(err, graph.ErrNodeRange) {
 		t.Fatalf("err=%v", err)
 	}
+	// A repeated node is its own error, reported before connectivity.
+	if err := ValidateParts(g, [][]graph.NodeID{{0, 1, 0}}); !errors.Is(err, ErrDuplicateNode) {
+		t.Fatalf("err=%v", err)
+	}
+	if err := ValidateParts(g, [][]graph.NodeID{{0, 8, 8}}); !errors.Is(err, ErrDuplicateNode) {
+		t.Fatalf("err=%v", err)
+	}
 }
 
 func TestCongestion(t *testing.T) {
