@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-json race test alloc-check distbench-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check
+.PHONY: check build vet lint lint-json race test alloc-check fuzz-smoke distbench-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check
 
 check: build vet lint test alloc-check trace-smoke daemon-smoke chaos-smoke snapshot-check
 
@@ -36,13 +36,24 @@ test:
 # ConvergecastAll + DownSweepMany pair at 1 alloc/call, a PCG iteration
 # within its fixed budget, BFS over a part held to part-sized scratch
 # (BFSTreeOfSubgraph's bytes on a 10⁴-node host, shortcut.Verify's bytes
-# equal on 10³- and 10⁴-node hosts) — plus Instance.SizeBytes held within
-# 5% of the heap a prepared instance retains. The tests are
+# equal on 10³- and 10⁴-node hosts), the sweep pair held to member-sized
+# state (its bytes equal on 10³- and 10⁴-node grids) — plus
+# Instance.SizeBytes held within 5% of the heap a prepared instance
+# retains. The tests are
 # `//go:build !race` because the race runtime changes allocation counts,
 # so this is a separate plain-runtime pass; `make test` covers the same
 # code for correctness.
 alloc-check:
 	$(GO) test -run 'Allocs|RetainedHeap' ./internal/congest ./internal/core ./internal/graph ./internal/shortcut
+
+# Fuzz smoke: plain `go test` runs only the fuzz targets' seed corpora, so
+# this target fuzzes each target for 10 s on one worker —
+# FuzzBFSTreeOfSubgraph against the reference BFS-tree builder and
+# FuzzSolveMatchesExact against the dense exact solve. A failing input is
+# written under the package's testdata/fuzz/ for replay by plain `go test`.
+fuzz-smoke:
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzBFSTreeOfSubgraph$$' -fuzztime 10s -parallel 1
+	$(GO) test . -run '^$$' -fuzz '^FuzzSolveMatchesExact$$' -fuzztime 10s -parallel 1
 
 # distbench (the end-to-end benchmark of BENCHMARK.json) is its own Go
 # module, so `go build ./...` above never compiles it; this target vets and

@@ -162,7 +162,7 @@ func TestBroadcastMany(t *testing.T) {
 	tr := graph.BFSTree(g, 4)
 	seen := make(map[graph.NodeID]Word)
 	err := nw.DownSweepMany([]*graph.Tree{tr}, []Word{99}, keepWord,
-		func(_ int, v graph.NodeID, w Word) { seen[v] = w })
+		func(_ int, i int32, w Word) { seen[tr.Members[i]] = w })
 	if err != nil {
 		t.Fatal(err)
 	}

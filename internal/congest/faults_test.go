@@ -170,6 +170,65 @@ func TestConvergecastDetectsFaults(t *testing.T) {
 	}
 }
 
+// dupCrashStar runs one convergecast of val = 1<<v over the star on three
+// nodes, rooted at its center, under a plan that duplicates and crashes.
+func dupCrashStar(seed int64) (Word, error) {
+	g := graph.Star(3)
+	nw := faultyNet(g, seed, faultinject.Spec{DupProb: 0.5, CrashProb: 0.3, CrashWindow: 2})
+	roots, _, err := nw.ConvergecastAll([]*graph.Tree{graph.BFSTree(g, 0)},
+		func(_ int, v graph.NodeID) Word { return 1 << v }, AggSum)
+	if err != nil {
+		return 0, err
+	}
+	return roots[0], nil
+}
+
+func TestConvergecastDuplicateCannotHideCrashedSibling(t *testing.T) {
+	// Under seed 1 one leaf's word is duplicated while its crashed
+	// sibling's word never arrives. An engine that counts arrivals rather
+	// than senders takes the duplicate for the missing word and reports
+	// 0b1 + 2·0b100 = 0b1001 without error.
+	got, err := dupCrashStar(1)
+	if err == nil && got != 0b111 {
+		t.Fatalf("convergecast reported aggregate %#b without error, want %#b or an error", got, 0b111)
+	}
+}
+
+func TestConvergecastUnderDupCrashIsExactOrErrs(t *testing.T) {
+	// Every run either reports an incomplete sweep or returns the reliable
+	// aggregate: a fault plan may cost completeness, never correctness.
+	for seed := int64(0); seed < 20_000; seed++ {
+		if got, err := dupCrashStar(seed); err == nil && got != 0b111 {
+			t.Fatalf("seed %d: aggregate %#b without error, want %#b", seed, got, 0b111)
+		}
+	}
+}
+
+func TestConvergecastSurvivesDuplicates(t *testing.T) {
+	// Pure duplication loses nothing: every duplicate is dropped at its
+	// receiver, so the convergecast completes with the reliable aggregate.
+	g := graph.Grid(5, 5)
+	tree := graph.BFSTree(g, 0)
+	reliable := NewNetwork(g, Options{Seed: 5})
+	want, _, err := reliable.ConvergecastAll([]*graph.Tree{tree},
+		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
+	if err != nil {
+		t.Fatalf("reliable convergecast: %v", err)
+	}
+	nw := faultyNet(g, 5, faultinject.Spec{DupProb: 0.5})
+	got, _, err := nw.ConvergecastAll([]*graph.Tree{tree},
+		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
+	if err != nil {
+		t.Fatalf("duplicating convergecast: %v", err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("duplicating convergecast aggregate %d, want %d", got[0], want[0])
+	}
+	if nw.FaultStats().Dups == 0 {
+		t.Fatalf("no duplicates injected at DupProb=0.5")
+	}
+}
+
 func TestConvergecastSurvivesDelays(t *testing.T) {
 	// Pure delays lose nothing: the convergecast completes with the exact
 	// reliable result, just over more rounds.
@@ -204,13 +263,13 @@ func TestBroadcastSurvivesDrops(t *testing.T) {
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 4})
 	if err := reliable.DownSweepMany([]*graph.Tree{tree}, []Word{7}, keepWord,
-		func(t int, v graph.NodeID, w Word) {}); err != nil {
+		func(int, int32, Word) {}); err != nil {
 		t.Fatalf("reliable broadcast: %v", err)
 	}
 	nw := faultyNet(g, 4, faultinject.Spec{DropProb: 0.3})
 	seen := make([]Word, g.N())
 	if err := nw.DownSweepMany([]*graph.Tree{tree}, []Word{7}, keepWord,
-		func(t int, v graph.NodeID, w Word) { seen[v] = w }); err != nil {
+		func(_ int, i int32, w Word) { seen[tree.Members[i]] = w }); err != nil {
 		t.Fatalf("broadcast under 30%% drop: %v", err)
 	}
 	for v, w := range seen {
@@ -231,7 +290,7 @@ func TestFaultyTreeSchedTerminates(t *testing.T) {
 	nw := faultyNet(g, 17, faultinject.Spec{DropProb: 0.9, DelayProb: 0.1, MaxDelay: 5})
 	tree := graph.BFSTree(g, 0)
 	err := nw.DownSweepMany([]*graph.Tree{tree}, []Word{42}, keepWord,
-		func(t int, v graph.NodeID, w Word) {})
+		func(int, int32, Word) {})
 	if err == nil {
 		t.Fatalf("broadcast under 90%% drop reported success")
 	}

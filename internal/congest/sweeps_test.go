@@ -33,9 +33,12 @@ func TestConvergecastAllSubtreeSums(t *testing.T) {
 	if roots[0] != 6 {
 		t.Fatalf("root sum=%d", roots[0])
 	}
-	for v := 0; v < 6; v++ {
-		if sub[0][v] != Word(6-v) {
-			t.Fatalf("subtree[%d]=%d, want %d", v, sub[0][v], 6-v)
+	if len(sub[0]) != 6 {
+		t.Fatalf("subtree row has %d entries, want 6", len(sub[0]))
+	}
+	for i, v := range tr.Members {
+		if sub[0][i] != Word(6-v) {
+			t.Fatalf("subtree of node %d=%d, want %d", v, sub[0][i], 6-v)
 		}
 	}
 }
@@ -64,8 +67,8 @@ func TestDownSweepManyPrefixTransform(t *testing.T) {
 	tr := graph.BFSTree(g, 0)
 	depths := make(map[graph.NodeID]Word)
 	err := nw.DownSweepMany([]*graph.Tree{tr}, []Word{0},
-		func(_ int, _, _ graph.NodeID, parentVal Word) Word { return parentVal + 1 },
-		func(_ int, v graph.NodeID, w Word) { depths[v] = w })
+		func(_ int, _, _ int32, parentVal Word) Word { return parentVal + 1 },
+		func(_ int, i int32, w Word) { depths[tr.Members[i]] = w })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +89,8 @@ func TestDownSweepManyErrors(t *testing.T) {
 	}
 	tr := graph.BFSTree(nw.Graph(), 0)
 	if err := nw.DownSweepMany([]*graph.Tree{tr}, nil,
-		func(int, graph.NodeID, graph.NodeID, Word) Word { return 0 },
-		func(int, graph.NodeID, Word) {}); err == nil {
+		func(int, int32, int32, Word) Word { return 0 },
+		func(int, int32, Word) {}); err == nil {
 		t.Fatal("want root-value mismatch error")
 	}
 }
@@ -129,11 +132,11 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 		}
 		y := make([]float64, n)
 		err = nw.DownSweepMany([]*graph.Tree{tr}, []Word{FloatWord(0)},
-			func(_ int, _, child graph.NodeID, parentVal Word) Word {
-				w := float64(g.Edge(tr.ParentEdge[child]).Weight)
+			func(_ int, _, child int32, parentVal Word) Word {
+				w := float64(g.Edge(tr.ParentEdge[tr.Members[child]]).Weight)
 				return FloatWord(WordFloat(parentVal) + WordFloat(sub[0][child])/w)
 			},
-			func(_ int, v graph.NodeID, w Word) { y[v] = WordFloat(w) })
+			func(_ int, i int32, w Word) { y[tr.Members[i]] = WordFloat(w) })
 		if err != nil {
 			return false
 		}

@@ -40,7 +40,7 @@ func AggOr(a, b Word) Word {
 // pendingSend is one word waiting to cross a directed edge.
 type pendingSend struct {
 	tree     int32
-	pos      int32 // down-sweeps: the receiver's position in the tree's Members
+	pos      int32 // position in Members of the child endpoint of the tree edge crossed
 	from     graph.NodeID
 	to       graph.NodeID
 	w        Word
@@ -154,26 +154,26 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 
 // treeCongestion returns the maximum number of trees whose parent edges use
 // any single directed edge (the scheduler's congestion parameter c).
-// Counting runs over a pooled flat per-directed-edge array.
+// Counting runs over a pooled flat per-directed-edge array that is all
+// zero between calls: the call lists the edges it counts on and resets
+// exactly those, so it costs Θ(Σ|Members|), not Θ(m).
 func (nw *Network) treeCongestion(trees []*graph.Tree) int {
-	use := grownI32(nw.scr.edgeUse, 2*nw.g.M())
+	use := grown(nw.scr.edgeUse, 2*nw.g.M())
 	nw.scr.edgeUse = use
-	for i := range use {
-		use[i] = 0
-	}
+	used := nw.scr.edgesUsed[:0]
 	c := int32(1)
 	for _, t := range trees {
-		for _, v := range t.Members {
-			if t.Parent[v] == -1 {
-				continue
-			}
+		for _, v := range t.Members[1:] {
 			de := nw.dirEdge(t.ParentEdge[v], v)
+			used = append(used, int32(de))
 			use[de]++
-			if use[de] > c {
-				c = use[de]
-			}
+			c = max(c, use[de])
 		}
 	}
+	for _, de := range used {
+		use[de] = 0
+	}
+	nw.scr.edgesUsed = used
 	return int(c)
 }
 
@@ -183,7 +183,7 @@ func (nw *Network) treeCongestion(trees []*graph.Tree) int {
 // until the next primitive on this network; the RNG draw sequence is
 // identical to the historical allocating version.
 func (nw *Network) randomDelays(k, c int) []int {
-	delays := grownInts(nw.scr.delayBuf, k)
+	delays := grown(nw.scr.delayBuf, k)
 	nw.scr.delayBuf = delays
 	for i := range delays {
 		delays[i] = 0
@@ -197,50 +197,46 @@ func (nw *Network) randomDelays(k, c int) []int {
 	return delays
 }
 
-// ccState is the dense convergecast working state over (tree, node) slots:
-// slot t*n+v holds node v's remaining child count and running subtree
-// accumulator in tree t. Slots are valid only when stamped with the
-// current epoch, so no O(k·n) clearing happens per call.
+// ccState is the convergecast working state, member-sized: entry off[t]+i
+// holds Members[i]'s running subtree accumulator and its count of children
+// still pending in tree t. The count doubles as the receipt mark: a member
+// sends only once it reaches 0, and it becomes -1 once the member's parent
+// edge has delivered that word.
 type ccState struct {
-	n       int
+	off     []int
 	pending []int32
 	acc     []Word
-	stamp   []uint32
-	epoch   uint32
 }
 
 func (nw *Network) ccStateFor(trees []*graph.Tree) ccState {
-	n := nw.g.N()
-	kn := len(trees) * n
 	s := &nw.scr
-	epoch := s.nextEpoch(kn)
-	s.ccPending = grownI32(s.ccPending, kn)
-	s.ccAcc = grownWords(s.ccAcc, kn)
-	return ccState{n: n, pending: s.ccPending, acc: s.ccAcc, stamp: s.ccStamp, epoch: epoch}
+	off := s.memberOffsets(trees)
+	total := off[len(trees)]
+	s.ccPending = grown(s.ccPending, total)
+	s.ccAcc = grown(s.ccAcc, total)
+	return ccState{off: off, pending: s.ccPending, acc: s.ccAcc}
 }
 
-// initConvergecast seeds the dense state for one convergecast pass: every
+// initConvergecast seeds the state for one convergecast pass: every
 // member's accumulator starts at val(t, v), its pending count at its child
-// count, and the leaves' initial sends are pushed. Identical visit order
-// (tree-members order) and push order to the historical map-based setup;
-// pending counts come from the trees' child indexes.
+// count, and the leaves' initial sends are pushed. Visit order
+// (tree-members order) and push order are those of the historical
+// map-based setup; pending counts come from the trees' child indexes.
 func (st *ccState) initConvergecast(
 	nw *Network, sched *treeSched, trees []*graph.Tree, delays []int,
 	val func(t int, v graph.NodeID) Word,
 ) {
 	for t, tr := range trees {
-		base := t * st.n
+		o := st.off[t]
 		for i, v := range tr.Members {
-			j := base + v
-			st.stamp[j] = st.epoch
-			st.pending[j] = int32(len(tr.Kids(i)))
-			st.acc[j] = val(t, v)
+			st.pending[o+i] = int32(len(tr.Kids(i)))
+			st.acc[o+i] = val(t, v)
 		}
 		// Leaves are immediately ready to send to their parents.
 		for i, v := range tr.Members[1:] {
 			if len(tr.Kids(i+1)) == 0 {
 				sched.push(nw.dirEdge(tr.ParentEdge[v], v), pendingSend{
-					tree: int32(t), from: v, to: tr.Parent[v], w: st.acc[base+v],
+					tree: int32(t), pos: int32(i + 1), from: v, to: tr.Parent[v], w: st.acc[o+i+1],
 					eligible: 1 + delays[t],
 				})
 			}
@@ -250,29 +246,26 @@ func (st *ccState) initConvergecast(
 
 // deliverUp folds one delivered send into the receiver's accumulator and
 // forwards the receiver's total when its subtree completes — the upward
-// half of every convergecast.
+// half of every convergecast. A member's parent edge delivers at most one
+// word per sweep: a duplicate is dropped, so it can never stand in for a
+// crashed sibling's missing word.
 func (st *ccState) deliverUp(nw *Network, sched *treeSched, trees []*graph.Tree, agg Agg, ps pendingSend) {
+	o := st.off[ps.tree]
+	if st.pending[o+int(ps.pos)] < 0 {
+		return
+	}
+	st.pending[o+int(ps.pos)] = -1
 	tr := trees[ps.tree]
-	i := int(ps.tree)*st.n + ps.to
+	p := tr.ParentPos(int(ps.pos))
+	i := o + p
 	st.acc[i] = agg(st.acc[i], ps.w)
 	st.pending[i]--
-	if st.pending[i] == 0 && ps.to != tr.Root {
+	if st.pending[i] == 0 && p != 0 {
 		sched.push(nw.dirEdge(tr.ParentEdge[ps.to], ps.to), pendingSend{
-			tree: ps.tree, from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
+			tree: ps.tree, pos: int32(p), from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
 			eligible: sched.round + 1,
 		})
 	}
-}
-
-// bcSeen marks (tree, node) receipt with the current epoch; returns whether
-// it was already marked.
-func (nw *Network) bcSeen(t int, v graph.NodeID) bool {
-	i := t*nw.g.N() + v
-	if nw.scr.bcStamp[i] == nw.scr.epoch {
-		return true
-	}
-	nw.scr.bcStamp[i] = nw.scr.epoch
-	return false
 }
 
 // AggregateMany runs a full part-wise aggregation round-trip on every tree:
@@ -285,7 +278,7 @@ func (nw *Network) bcSeen(t int, v graph.NodeID) bool {
 // Charges O(c·(maxdepth + log k)) rounds for congestion c over k trees
 // (random-delay scheduling; see treeCongestion). Deterministic for a fixed
 // network seed: scheduling draws come from the network RNG in canonical
-// tree order. Scheduler queues and dense sweep state are pooled — steady
+// tree order. Scheduler queues and member-sized sweep state are pooled — steady
 // state allocates only the returned []Word (pinned by
 // TestAggregateManySteadyStateAllocs).
 func (nw *Network) AggregateMany(
@@ -297,11 +290,11 @@ func (nw *Network) AggregateMany(
 	if err != nil {
 		return nil, err
 	}
-	if err := nw.DownSweepMany(trees, roots, keepWord, func(int, graph.NodeID, Word) {}); err != nil {
+	if err := nw.DownSweepMany(trees, roots, keepWord, func(int, int32, Word) {}); err != nil {
 		return nil, err
 	}
 	return roots, nil
 }
 
 // keepWord is the identity down-sweep transform: a broadcast.
-func keepWord(_ int, _, _ graph.NodeID, w Word) Word { return w }
+func keepWord(_ int, _, _ int32, w Word) Word { return w }

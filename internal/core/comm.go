@@ -67,8 +67,8 @@ type Comm interface {
 	// from the root's subtree total; down computes a child's potential
 	// from its parent's potential and the child's subtree sum.
 	//
-	// The result is dense: row t is indexed by node ID, defined only at
-	// trees[t].Members (other slots hold stale scratch). Rows alias the
+	// The result is member-sized: row t has len(trees[t].Members) entries,
+	// and entry i is the potential of trees[t].Members[i]. Rows alias the
 	// comm's pooled sweep buffer and are valid until the next TreeUpDown on
 	// this comm (TreeTotals and the other primitives do not disturb them);
 	// callers needing longer retention must copy.
@@ -111,7 +111,7 @@ type CongestComm struct {
 	mvY      []float64      // MatVecLaplacian output (pooled)
 	gsTrees  []*graph.Tree  // GlobalSums per-call tree list (pooled)
 	udOut    [][]float64    // TreeUpDown row views (pooled)
-	udArena  []float64      // TreeUpDown dense potentials, k·n (pooled)
+	udArena  []float64      // TreeUpDown potentials, Σ|Members| (pooled)
 	rootVals []congest.Word // per-call downward seeds (pooled)
 }
 
@@ -282,8 +282,8 @@ func steinerTreeOfGlobal(g *graph.Graph, global *graph.Tree, terminals []graph.N
 }
 
 // TreeUpDown implements Comm via the engine's concurrent sweep primitives.
-// The returned rows are dense, pooled views (see the interface contract):
-// entries outside trees[t].Members are stale scratch.
+// The returned rows are member-sized, pooled views (see the interface
+// contract), carved from one arena of Σ|Members| potentials.
 func (c *CongestComm) TreeUpDown(
 	trees []*graph.Tree,
 	leaf func(t int, v graph.NodeID) float64,
@@ -305,26 +305,30 @@ func (c *CongestComm) TreeUpDown(
 	for t := range trees {
 		rootVals[t] = congest.FloatWord(rootVal(t, congest.WordFloat(roots[t])))
 	}
-	n := c.nw.Graph().N()
-	if cap(c.udArena) < k*n {
-		c.udArena = make([]float64, k*n)
+	total := 0
+	for _, tr := range trees {
+		total += len(tr.Members)
+	}
+	if cap(c.udArena) < total {
+		c.udArena = make([]float64, total)
 	}
 	if cap(c.udOut) < k {
 		c.udOut = make([][]float64, k)
 	}
-	arena := c.udArena[:k*n]
+	arena := c.udArena[:total]
 	out := c.udOut[:k]
-	for t := range out {
-		out[t] = arena[t*n : (t+1)*n]
+	for t, tr := range trees {
+		out[t], arena = arena[:len(tr.Members)], arena[len(tr.Members):]
 	}
 	err = c.nw.DownSweepMany(trees, rootVals,
-		func(t int, parent, child graph.NodeID, parentVal congest.Word) congest.Word {
-			return congest.FloatWord(down(t, parent, child,
+		func(t int, parent, child int32, parentVal congest.Word) congest.Word {
+			m := trees[t].Members
+			return congest.FloatWord(down(t, m[parent], m[child],
 				congest.WordFloat(parentVal),
 				congest.WordFloat(sub[t][child])))
 		},
-		func(t int, v graph.NodeID, w congest.Word) {
-			out[t][v] = congest.WordFloat(w)
+		func(t int, i int32, w congest.Word) {
+			out[t][i] = congest.WordFloat(w)
 		})
 	if err != nil {
 		return nil, err
@@ -404,6 +408,10 @@ func (h *HybridComm) CollectMetrics() Metrics {
 	m.NCC = &nccM
 	return m
 }
+
+// GlobalTree exposes the local comm's global BFS tree (used by the tree
+// preconditioner).
+func (h *HybridComm) GlobalTree() *graph.Tree { return h.local.GlobalTree() }
 
 // NCC exposes the global engine (metrics).
 func (h *HybridComm) NCC() *ncc.Network { return h.global }

@@ -100,19 +100,11 @@ func (p *TreePrecond) Setup(c Comm) error {
 		p.tree = tr
 		return nil
 	}
-	type globalTreer interface{ GlobalTree() *graph.Tree }
-	switch cc := c.(type) {
-	case *CongestComm:
-		p.tree = cc.GlobalTree()
-	case *HybridComm:
-		p.tree = cc.local.GlobalTree()
-	default:
-		if gt, ok := c.(globalTreer); ok {
-			p.tree = gt.GlobalTree()
-		} else {
-			return errors.New("core: comm exposes no global tree")
-		}
+	gt, ok := c.(interface{ GlobalTree() *graph.Tree })
+	if !ok {
+		return errors.New("core: comm exposes no global tree")
 	}
+	p.tree = gt.GlobalTree()
 	return nil
 }
 
@@ -140,9 +132,11 @@ func (p *TreePrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The tree spans every node, so the whole dense row is defined.
+	// The tree spans every node, so its row covers every entry of z.
 	z := make([]float64, g.N())
-	copy(z, pots[0])
+	for i, v := range p.tree.Members {
+		z[v] = pots[0][i]
+	}
 	linalg.CenterMean(z)
 	return z, nil
 }
@@ -159,17 +153,25 @@ type SchwarzPrecond struct {
 	Method     string // cover generator: "" / "random" | "mpx"
 
 	clusters [][]graph.NodeID
-	member   []bool // flat k×n cluster membership: member[t*n+v]
+	cover    []int32     // per cluster: the index of the cover it belongs to
+	slot     []coverSlot // covers×n: slot[l*n+v] locates v within cover l
 	n        int
 	trees    []*graph.Tree
 	count    []float64 // per node: #clusters containing it
 	invDeg   []float64 // Jacobi smoothing term (see Apply)
 }
 
-// inCluster reports whether v belongs to cluster t (flat array probe; the
-// hot test of every leaf callback in Apply).
-func (p *SchwarzPrecond) inCluster(t int, v graph.NodeID) bool {
-	return p.member[t*p.n+v]
+// coverSlot locates a node within one cover, which is a partition: the
+// cluster holding the node (-1 if none does) and the node's position in
+// that cluster's tree Members.
+type coverSlot struct{ cluster, pos int32 }
+
+// at reports whether v belongs to cluster t (a relay of t's tree does not)
+// and, if so, v's position in trees[t].Members — the hot probe of every
+// leaf callback in Apply.
+func (p *SchwarzPrecond) at(t int, v graph.NodeID) (int, bool) {
+	s := p.slot[int(p.cover[t])*p.n+v]
+	return int(s.pos), int(s.cluster) == t
 }
 
 var _ Preconditioner = (*SchwarzPrecond)(nil)
@@ -199,7 +201,7 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	if k < 1 {
 		k = 1
 	}
-	p.clusters = nil
+	p.clusters, p.cover = nil, nil
 	for l := 0; l < p.Overlap; l++ {
 		var parts [][]graph.NodeID
 		switch p.Method {
@@ -218,6 +220,9 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 			return fmt.Errorf("core: cluster cover %d failed", l)
 		}
 		p.clusters = append(p.clusters, parts...)
+		for range parts {
+			p.cover = append(p.cover, int32(l))
+		}
 	}
 	c.Tracer().Begin("cluster-trees")
 	trees, err := c.ClusterTrees(p.clusters)
@@ -227,12 +232,26 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	}
 	p.trees = trees
 	p.n = n
-	p.member = make([]bool, len(p.clusters)*n)
+	p.slot = make([]coverSlot, p.Overlap*n)
+	for i := range p.slot {
+		p.slot[i].cluster = -1
+	}
 	p.count = make([]float64, n)
-	for i, cl := range p.clusters {
+	for t, cl := range p.clusters {
 		for _, v := range cl {
-			p.member[i*n+v] = true
+			s := &p.slot[int(p.cover[t])*n+v]
+			if s.cluster != -1 {
+				return fmt.Errorf("core: node %d in two clusters of cover %d", v, p.cover[t])
+			}
+			s.cluster = int32(t)
 			p.count[v]++
+		}
+	}
+	for t, tr := range p.trees {
+		for i, v := range tr.Members {
+			if s := &p.slot[int(p.cover[t])*n+v]; int(s.cluster) == t {
+				s.pos = int32(i)
+			}
 		}
 	}
 	for v := range p.count {
@@ -252,7 +271,7 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 
 // sizeBytes returns the bytes held by the prepared cluster state.
 func (p *SchwarzPrecond) sizeBytes() int64 {
-	bytes := int64(24*cap(p.clusters) + cap(p.member) + 8*(cap(p.trees)+cap(p.count)+cap(p.invDeg)))
+	bytes := int64(24*cap(p.clusters) + 4*cap(p.cover) + 8*(cap(p.slot)+cap(p.trees)+cap(p.count)+cap(p.invDeg)))
 	for _, cl := range p.clusters {
 		bytes += int64(8 * cap(cl))
 	}
@@ -282,7 +301,7 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	tr.Begin("restrict")
 	clusterSum, err := c.TreeTotals(p.trees,
 		func(t int, v graph.NodeID) float64 {
-			if p.inCluster(t, v) {
+			if _, ok := p.at(t, v); ok {
 				return r[v]
 			}
 			return 0
@@ -299,7 +318,7 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	tr.Begin("sweep")
 	pots, err := c.TreeUpDown(p.trees,
 		func(t int, v graph.NodeID) float64 {
-			if p.inCluster(t, v) {
+			if _, ok := p.at(t, v); ok {
 				return r[v] - means[t]
 			}
 			return 0
@@ -322,8 +341,8 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	tr.Begin("center")
 	potSum, err := c.TreeTotals(p.trees,
 		func(t int, v graph.NodeID) float64 {
-			if p.inCluster(t, v) {
-				return pots[t][v]
+			if i, ok := p.at(t, v); ok {
+				return pots[t][i]
 			}
 			return 0
 		},
@@ -336,9 +355,9 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	for t, tree := range p.trees {
 		mean := potSum[t] / float64(len(p.clusters[t]))
 		row := pots[t]
-		for _, v := range tree.Members {
-			if p.inCluster(t, v) {
-				z[v] += (row[v] - mean) / p.count[v]
+		for i, v := range tree.Members {
+			if _, ok := p.at(t, v); ok {
+				z[v] += (row[i] - mean) / p.count[v]
 			}
 		}
 	}

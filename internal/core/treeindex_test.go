@@ -8,8 +8,9 @@ import (
 )
 
 // checkChildIndex verifies a tree's stored child index against its parent
-// pointers: Members[0] is the root, and Kids(i) lists exactly the members
-// whose parent is Members[i], in Members order.
+// pointers: Members[0] is the root, Kids(i) lists exactly the members
+// whose parent is Members[i], in Members order, and ParentPos(i) is the
+// position of that parent (-1 at the root).
 func checkChildIndex(t *testing.T, name string, tr *graph.Tree) {
 	t.Helper()
 	if len(tr.Members) < 2 || tr.Members[0] != tr.Root {
@@ -21,6 +22,9 @@ func checkChildIndex(t *testing.T, name string, tr *graph.Tree) {
 			if tr.Parent[c] == v {
 				want = append(want, int32(j))
 			}
+		}
+		if p := tr.ParentPos(i); (i == 0 && p != -1) || (i > 0 && tr.Members[p] != tr.Parent[v]) {
+			t.Fatalf("%s: member %d has parent position %d", name, v, p)
 		}
 		got := tr.Kids(i)
 		if len(got) != len(want) {

@@ -3,10 +3,11 @@ package graph
 import "sort"
 
 // Tree is a rooted tree of a graph, stored as parent pointers in the host
-// graph's node ID space plus a member-sized child index. Nodes outside the
-// tree have Parent == -1 and Depth == -1. Trees come from this package's
-// constructors (NewTree, BFSTree, BFSTreeOfSubgraph, TreeFromEdges,
-// LowStretchTree), each of which builds the child index exactly once.
+// graph's node ID space plus a member-sized child index and parent
+// positions. Nodes outside the tree have Parent == -1 and Depth == -1.
+// Trees come from this package's constructors (NewTree, BFSTree,
+// BFSTreeOfSubgraph, TreeFromEdges, LowStretchTree), each of which builds
+// the member-sized index exactly once.
 type Tree struct {
 	Root       NodeID
 	Parent     []NodeID // -1 for root and non-members
@@ -18,6 +19,7 @@ type Tree struct {
 	// of Members, in Members order.
 	kidStart []int32
 	kids     []int32
+	up       []int32 // up[i] is the position of Members[i]'s parent (root: -1)
 }
 
 // Height returns the maximum depth of any member.
@@ -41,12 +43,16 @@ func (t *Tree) Contains(v NodeID) bool {
 // modified.
 func (t *Tree) Kids(i int) []int32 { return t.kids[t.kidStart[i]:t.kidStart[i+1]] }
 
+// ParentPos returns the position in Members of the parent of Members[i]
+// (-1 for the root).
+func (t *Tree) ParentPos(i int) int { return int(t.up[i]) }
+
 // SizeBytes returns the bytes held by the tree: its header and the
 // capacities of its arrays.
 func (t *Tree) SizeBytes() int64 {
-	const header = 8 + 6*24 // Root and six slice headers
+	const header = 8 + 7*24 // Root and seven slice headers
 	return header + int64(8*(cap(t.Parent)+cap(t.ParentEdge)+cap(t.Depth)+cap(t.Members))+
-		4*(cap(t.kidStart)+cap(t.kids)))
+		4*(cap(t.kidStart)+cap(t.kids)+cap(t.up)))
 }
 
 // NewTree returns the tree whose members are members, rooted at
@@ -75,8 +81,9 @@ func newTree(members []NodeID, parent []NodeID, parentEdge []EdgeID, depth []int
 	// ends, then fill backwards so each range ends up in Members order and
 	// its slot holds the range start.
 	m := len(members)
-	t.kidStart = make([]int32, m+1)
-	t.kids = make([]int32, max(m-1, 0))
+	idx := make([]int32, 3*m) // kidStart, kids and up in one allocation
+	t.kidStart, t.kids, t.up = idx[:m+1:m+1], idx[m+1:2*m:2*m], idx[2*m:]
+	t.up[0] = -1
 	for _, v := range members[1:] {
 		t.kidStart[pos[parent[v]]]++
 	}
@@ -85,6 +92,7 @@ func newTree(members []NodeID, parent []NodeID, parentEdge []EdgeID, depth []int
 	}
 	for j := m - 1; j > 0; j-- {
 		p := pos[parent[members[j]]]
+		t.up[j] = int32(p)
 		t.kidStart[p]--
 		t.kids[t.kidStart[p]] = int32(j)
 	}

@@ -49,7 +49,10 @@ func SolveOneCongested(
 	tr.End("shortcut-build")
 
 	trees := make([]*graph.Tree, len(parts))
+	// members[i] holds every node of part i's tree: true for the part's
+	// own nodes, false for relays.
 	members := make([]map[graph.NodeID]bool, len(parts))
+	var unrooted []graph.NodeID
 	for i, p := range parts {
 		members[i] = make(map[graph.NodeID]bool, len(p))
 		memberList := make([]graph.NodeID, 0, len(p))
@@ -59,18 +62,28 @@ func SolveOneCongested(
 		}
 		// Extra-edge endpoints join the tree as relays; the induced
 		// subgraph on part plus relays contains every edge of H_i.
-		seen := make(map[graph.NodeID]bool, len(p))
-		for _, v := range p {
-			seen[v] = true
-		}
 		for _, id := range sc.Extra[i] {
 			e := g.Edge(id)
 			for _, x := range []graph.NodeID{e.U, e.V} {
-				if !seen[x] {
-					seen[x] = true
+				if _, ok := members[i][x]; !ok {
+					members[i][x] = false
 					memberList = append(memberList, x)
 				}
 			}
+		}
+		// A one-member tree needs no BFS, and its Parent and ParentEdge
+		// are all -1: the call's one-member trees share one such array
+		// (trees are never written), so a phase of singleton parts does
+		// not allocate two n-long arrays per part.
+		if len(memberList) == 1 {
+			if unrooted == nil {
+				unrooted = make([]graph.NodeID, g.N())
+				for v := range unrooted {
+					unrooted[v] = -1
+				}
+			}
+			trees[i] = graph.NewTree(memberList, unrooted, unrooted)
+			continue
 		}
 		trees[i] = graph.BFSTreeOfSubgraph(g, memberList, p[0])
 		if len(trees[i].Members) != len(memberList) {
