@@ -34,17 +34,17 @@ test:
 # Allocation-regression budgets for the pooled hot paths (PERFORMANCE.md):
 # steady-state Exchange at 0 allocs/round, AggregateMany and the
 # ConvergecastAll + DownSweepMany pair at 1 alloc/call, a PCG iteration
-# within its fixed budget, BFS over a part held to part-sized scratch
-# (BFSTreeOfSubgraph's bytes on a 10⁴-node host, shortcut.Verify's bytes
-# equal on 10³- and 10⁴-node hosts), the sweep pair held to member-sized
-# state (its bytes equal on 10³- and 10⁴-node grids) — plus
-# Instance.SizeBytes held within 5% of the heap a prepared instance
-# retains. The tests are
-# `//go:build !race` because the race runtime changes allocation counts,
-# so this is a separate plain-runtime pass; `make test` covers the same
-# code for correctness.
+# within its fixed budget, BFS over a part held to member-sized storage
+# (BFSTreeOfSubgraph's bytes and shortcut.Verify's bytes each equal on
+# 10³- and 10⁴-node hosts), the sweep pair held to member-sized state (its
+# bytes equal on 10³- and 10⁴-node grids) — plus Instance.SizeBytes held
+# within 5% of the heap a prepared instance retains, and its bytes per
+# node-plus-edge held within 1.25× from n = 10³ to n ≈ 10⁴ (LinearInN).
+# The allocation tests are `//go:build !race` because the race runtime
+# changes allocation counts, so this is a separate plain-runtime pass;
+# `make test` covers the same code for correctness.
 alloc-check:
-	$(GO) test -run 'Allocs|RetainedHeap' ./internal/congest ./internal/core ./internal/graph ./internal/shortcut
+	$(GO) test -run 'Allocs|RetainedHeap|LinearInN' ./internal/congest ./internal/core ./internal/graph ./internal/shortcut
 
 # Fuzz smoke: plain `go test` runs only the fuzz targets' seed corpora, so
 # this target fuzzes each target for 10 s on one worker —

@@ -85,9 +85,12 @@ func TestDeterministicPhasesAcrossSeeds(t *testing.T) {
 	if nw1.Metrics() != nw2.Metrics() {
 		t.Errorf("BFS metrics differ across seeds: %+v vs %+v", nw1.Metrics(), nw2.Metrics())
 	}
-	for v := range r1.Depth {
-		if r1.Depth[v] != r2.Depth[v] {
-			t.Fatalf("BFS distances differ at node %d: %d vs %d", v, r1.Depth[v], r2.Depth[v])
+	if len(r1.Members) != len(r2.Members) {
+		t.Fatalf("BFS trees differ in size across seeds: %d vs %d", len(r1.Members), len(r2.Members))
+	}
+	for i, v := range r1.Members {
+		if r2.Members[i] != v || r1.Depth[i] != r2.Depth[i] {
+			t.Fatalf("BFS distances differ at node %d: %d vs %d (node %d)", v, r1.Depth[i], r2.Depth[i], r2.Members[i])
 		}
 	}
 

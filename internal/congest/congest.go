@@ -343,20 +343,6 @@ func (nw *Network) Exchange(
 	nw.scr.deliveries = deliveries
 }
 
-// ExchangeK runs k consecutive Exchange rounds with the same handlers.
-func (nw *Network) ExchangeK(k int,
-	send func(round int, v graph.NodeID, h graph.Half) (Word, bool),
-	recv func(round int, v graph.NodeID, h graph.Half, w Word),
-) {
-	for r := 0; r < k; r++ {
-		rr := r
-		nw.Exchange(
-			func(v graph.NodeID, h graph.Half) (Word, bool) { return send(rr, v, h) },
-			func(v graph.NodeID, h graph.Half, w Word) { recv(rr, v, h, w) },
-		)
-	}
-}
-
 // BFS returns the BFS tree from root. In standard CONGEST the tree comes
 // from an actual distributed flooding execution (each node learns its
 // depth in the round it is reached), which charges ecc(root)+1 rounds:
@@ -369,12 +355,15 @@ func (nw *Network) BFS(root graph.NodeID) *graph.Tree {
 	nw.trace.Begin("bfs")
 	defer nw.trace.End("bfs")
 	n := nw.g.N()
-	parent := make([]graph.NodeID, n)
+	// pos[v] is v's position in order once a wave has placed it, and
+	// parentEdge[v] the edge v was first reached over (-1 until then).
+	pos := make([]int32, n)
 	parentEdge := make([]graph.EdgeID, n)
-	for i := range parent {
-		parent[i], parentEdge[i] = -1, -1
+	for i := range parentEdge {
+		parentEdge[i] = -1
 	}
 	order := []graph.NodeID{root}
+	up, treeEdge := []int32{-1}, []graph.EdgeID{-1}
 	// Flat frontier: a membership bitmap plus the node list of the current
 	// wave (the only nodes whose bits need clearing between rounds).
 	frontier := make([]bool, n)
@@ -387,8 +376,7 @@ func (nw *Network) BFS(root graph.NodeID) *graph.Tree {
 				return Word(depth), frontier[v]
 			},
 			func(v graph.NodeID, h graph.Half, w Word) {
-				if parent[v] == -1 && v != root {
-					parent[v] = h.To
+				if parentEdge[v] == -1 && v != root {
 					parentEdge[v] = h.Edge
 					reached = append(reached, v)
 				}
@@ -397,7 +385,12 @@ func (nw *Network) BFS(root graph.NodeID) *graph.Tree {
 		// Deterministic order: reached was appended in node-scan order of
 		// the sending side; sort by node ID for stability.
 		slices.Sort(reached)
-		order = append(order, reached...)
+		for _, v := range reached {
+			pos[v] = int32(len(order))
+			order = append(order, v)
+			up = append(up, pos[nw.g.Other(parentEdge[v], v)])
+			treeEdge = append(treeEdge, parentEdge[v])
+		}
 		for _, v := range wave {
 			frontier[v] = false
 		}
@@ -406,5 +399,5 @@ func (nw *Network) BFS(root graph.NodeID) *graph.Tree {
 		}
 		wave = reached
 	}
-	return graph.NewTree(order, parent, parentEdge)
+	return graph.NewTree(order, up, treeEdge)
 }

@@ -48,32 +48,17 @@ func TestExchangeSelective(t *testing.T) {
 	}
 }
 
-func TestExchangeK(t *testing.T) {
-	g := graph.Path(3)
-	nw := newNet(g)
-	rounds := map[int]bool{}
-	nw.ExchangeK(3,
-		func(r int, v graph.NodeID, h graph.Half) (Word, bool) { return Word(r), true },
-		func(r int, v graph.NodeID, h graph.Half, w Word) {
-			rounds[r] = true
-			if w != Word(r) {
-				t.Errorf("round %d got word %d", r, w)
-			}
-		},
-	)
-	if nw.Rounds() != 3 || len(rounds) != 3 {
-		t.Fatalf("rounds=%d seen=%d", nw.Rounds(), len(rounds))
-	}
-}
-
 func TestDistributedBFSCostsEccentricity(t *testing.T) {
 	g := graph.Grid(4, 5)
 	nw := newNet(g)
 	res := nw.BFS(0)
 	ref := graph.BFS(g, 0)
-	for v := range ref.Dist {
-		if res.Depth[v] != ref.Dist[v] {
-			t.Fatalf("dist[%d]=%d, want %d", v, res.Depth[v], ref.Dist[v])
+	if len(res.Members) != len(ref.Dist) {
+		t.Fatalf("BFS tree has %d members, want %d", len(res.Members), len(ref.Dist))
+	}
+	for i, v := range res.Members {
+		if res.Depth[i] != ref.Dist[v] {
+			t.Fatalf("dist[%d]=%d, want %d", v, res.Depth[i], ref.Dist[v])
 		}
 	}
 	// BFS floods one extra round past the last frontier.

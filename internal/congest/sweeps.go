@@ -108,7 +108,7 @@ func (nw *Network) DownSweepMany(
 		v := tr.Members[i]
 		for _, j := range tr.Kids(int(i)) {
 			c := tr.Members[j]
-			sched.push(nw.dirEdge(tr.ParentEdge[c], v), pendingSend{
+			sched.push(nw.dirEdge(tr.ParentEdge[j], v), pendingSend{
 				tree: int32(t), pos: j, from: v, to: c, w: next(t, i, j, w), eligible: eligible,
 			})
 		}

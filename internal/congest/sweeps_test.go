@@ -72,9 +72,9 @@ func TestDownSweepManyPrefixTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range tr.Members {
-		if depths[v] != Word(tr.Depth[v]) {
-			t.Fatalf("depth[%d]=%d, want %d", v, depths[v], tr.Depth[v])
+	for i, v := range tr.Members {
+		if depths[v] != Word(tr.Depth[i]) {
+			t.Fatalf("depth[%d]=%d, want %d", v, depths[v], tr.Depth[i])
 		}
 	}
 	if nw.Rounds() != tr.Height() {
@@ -133,7 +133,7 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 		y := make([]float64, n)
 		err = nw.DownSweepMany([]*graph.Tree{tr}, []Word{FloatWord(0)},
 			func(_ int, _, child int32, parentVal Word) Word {
-				w := float64(g.Edge(tr.ParentEdge[tr.Members[child]]).Weight)
+				w := float64(g.Edge(tr.ParentEdge[child]).Weight)
 				return FloatWord(WordFloat(parentVal) + WordFloat(sub[0][child])/w)
 			},
 			func(_ int, i int32, w Word) { y[tr.Members[i]] = WordFloat(w) })

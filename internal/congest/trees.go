@@ -163,8 +163,8 @@ func (nw *Network) treeCongestion(trees []*graph.Tree) int {
 	used := nw.scr.edgesUsed[:0]
 	c := int32(1)
 	for _, t := range trees {
-		for _, v := range t.Members[1:] {
-			de := nw.dirEdge(t.ParentEdge[v], v)
+		for i, v := range t.Members[1:] {
+			de := nw.dirEdge(t.ParentEdge[i+1], v)
 			used = append(used, int32(de))
 			use[de]++
 			c = max(c, use[de])
@@ -235,8 +235,8 @@ func (st *ccState) initConvergecast(
 		// Leaves are immediately ready to send to their parents.
 		for i, v := range tr.Members[1:] {
 			if len(tr.Kids(i+1)) == 0 {
-				sched.push(nw.dirEdge(tr.ParentEdge[v], v), pendingSend{
-					tree: int32(t), pos: int32(i + 1), from: v, to: tr.Parent[v], w: st.acc[o+i+1],
+				sched.push(nw.dirEdge(tr.ParentEdge[i+1], v), pendingSend{
+					tree: int32(t), pos: int32(i + 1), from: v, to: tr.Members[tr.ParentPos(i+1)], w: st.acc[o+i+1],
 					eligible: 1 + delays[t],
 				})
 			}
@@ -261,8 +261,8 @@ func (st *ccState) deliverUp(nw *Network, sched *treeSched, trees []*graph.Tree,
 	st.acc[i] = agg(st.acc[i], ps.w)
 	st.pending[i]--
 	if st.pending[i] == 0 && p != 0 {
-		sched.push(nw.dirEdge(tr.ParentEdge[ps.to], ps.to), pendingSend{
-			tree: ps.tree, pos: int32(p), from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
+		sched.push(nw.dirEdge(tr.ParentEdge[p], ps.to), pendingSend{
+			tree: ps.tree, pos: int32(p), from: ps.to, to: tr.Members[tr.ParentPos(p)], w: st.acc[i],
 			eligible: sched.round + 1,
 		})
 	}

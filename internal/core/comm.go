@@ -28,6 +28,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"distlap/internal/congest"
 	"distlap/internal/graph"
@@ -238,12 +239,16 @@ func (c *CongestComm) treeList(k int) []*graph.Tree {
 func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, error) {
 	g := c.nw.Graph()
 	trees := make([]*graph.Tree, len(clusters))
+	var cut *steinerCutter
+	if c.naive {
+		cut = newSteinerCutter(c.globalTree, g.N())
+	}
 	for i, cl := range clusters {
 		if len(cl) == 0 {
 			return nil, fmt.Errorf("core: cluster %d empty", i)
 		}
 		if c.naive {
-			trees[i] = steinerTreeOfGlobal(g, c.globalTree, cl)
+			trees[i] = cut.tree(cl)
 			continue
 		}
 		tr := graph.BFSTreeOfSubgraph(g, cl, cl[0])
@@ -255,30 +260,56 @@ func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, er
 	return trees, nil
 }
 
-// steinerTreeOfGlobal returns the subtree of the (spanning) global tree
-// that joins the terminals: the terminals plus all their tree ancestors, so
-// it is rooted at the global root.
-func steinerTreeOfGlobal(g *graph.Graph, global *graph.Tree, terminals []graph.NodeID) *graph.Tree {
-	n := g.N()
-	parent := make([]graph.NodeID, n)
-	parentEdge := make([]graph.EdgeID, n)
-	for i := 0; i < n; i++ {
-		parent[i], parentEdge[i] = -1, -1
+// steinerCutter cuts Steiner subtrees out of the spanning global tree. Its
+// two n-long lookups are built once per ClusterTrees call and shared by
+// every cluster: gpos maps a node to its position in the global tree, and
+// local maps a global position to its position in the subtree being cut
+// (-1 outside it; 0 marks a node while the subtree is collected).
+type steinerCutter struct {
+	global      *graph.Tree
+	gpos, local []int32
+}
+
+func newSteinerCutter(global *graph.Tree, n int) *steinerCutter {
+	s := &steinerCutter{global: global, gpos: make([]int32, n), local: make([]int32, n)}
+	for i, v := range global.Members {
+		s.gpos[v] = int32(i)
 	}
+	for i := range s.local {
+		s.local[i] = -1
+	}
+	return s
+}
+
+// tree returns the subtree of the global tree that joins the terminals:
+// the terminals plus all their tree ancestors, so it is rooted at the
+// global root. Its members keep their global order, which puts parents
+// before children.
+func (s *steinerCutter) tree(terminals []graph.NodeID) *graph.Tree {
+	global := s.global
+	s.local[0] = 0
+	in := []int32{0}
 	for _, v := range terminals {
-		for ; v != global.Root && parent[v] == -1; v = global.Parent[v] {
-			parent[v], parentEdge[v] = global.Parent[v], global.ParentEdge[v]
+		for i := s.gpos[v]; s.local[i] < 0; i = int32(global.ParentPos(int(i))) {
+			s.local[i] = 0
+			in = append(in, i)
 		}
 	}
-	// Members in global BFS order restricted to included nodes keeps
-	// parents before children.
-	var members []graph.NodeID
-	for _, v := range global.Members {
-		if v == global.Root || parent[v] != -1 {
-			members = append(members, v)
+	slices.Sort(in)
+	members := make([]graph.NodeID, len(in))
+	up := make([]int32, len(in))
+	parentEdge := make([]graph.EdgeID, len(in))
+	for j, i := range in {
+		s.local[i] = int32(j)
+		members[j], up[j], parentEdge[j] = global.Members[i], -1, global.ParentEdge[i]
+		if j > 0 {
+			up[j] = s.local[global.ParentPos(int(i))]
 		}
 	}
-	return graph.NewTree(members, parent, parentEdge)
+	for _, i := range in {
+		s.local[i] = -1
+	}
+	return graph.NewTree(members, up, parentEdge)
 }
 
 // TreeUpDown implements Comm via the engine's concurrent sweep primitives.

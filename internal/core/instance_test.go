@@ -127,3 +127,30 @@ func TestInstanceSizeBytes(t *testing.T) {
 		t.Fatalf("size not monotone: grid(12) %d <= grid(6) %d", big.SizeBytes(), small.SizeBytes())
 	}
 }
+
+// TestSizeBytesLinearInN holds a prepared instance to near-linear size:
+// SizeBytes per node-plus-edge on the larger of two graphs of one family
+// stays within 1.25× of the smaller one's. Trees sized by the host's n
+// instead of by their members would make it grow with √n.
+func TestSizeBytesLinearInN(t *testing.T) {
+	perElement := func(g *graph.Graph) float64 {
+		in, err := PrepareInstance(context.Background(), g, PrepareConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(in.SizeBytes()) / float64(g.N()+g.M())
+	}
+	for _, tc := range []struct {
+		name         string
+		small, large func() *graph.Graph
+	}{
+		{"grid 32x32 vs 100x100", func() *graph.Graph { return graph.Grid(32, 32) }, func() *graph.Graph { return graph.Grid(100, 100) }},
+		{"4-regular 1024 vs 8192", func() *graph.Graph { return graph.RandomRegular(1024, 4, 5) }, func() *graph.Graph { return graph.RandomRegular(8192, 4, 5) }},
+	} {
+		small, large := perElement(tc.small()), perElement(tc.large())
+		t.Logf("%s: %.1f vs %.1f bytes per node+edge (ratio %.3f)", tc.name, small, large, large/small)
+		if large > 1.25*small {
+			t.Errorf("%s: SizeBytes per node+edge grows from %.1f to %.1f (ratio %.3f > 1.25)", tc.name, small, large, large/small)
+		}
+	}
+}

@@ -82,7 +82,8 @@ type TreePrecond struct {
 	LowStretch bool
 	Seed       int64
 
-	tree *graph.Tree
+	tree       *graph.Tree
+	parentEdge []graph.EdgeID // per node: its parent edge in tree (one n-long lookup)
 }
 
 var _ Preconditioner = (*TreePrecond)(nil)
@@ -98,13 +99,19 @@ func (p *TreePrecond) Setup(c Comm) error {
 			return errors.New("core: low-stretch tree does not span")
 		}
 		p.tree = tr
-		return nil
+	} else {
+		gt, ok := c.(interface{ GlobalTree() *graph.Tree })
+		if !ok {
+			return errors.New("core: comm exposes no global tree")
+		}
+		p.tree = gt.GlobalTree()
 	}
-	gt, ok := c.(interface{ GlobalTree() *graph.Tree })
-	if !ok {
-		return errors.New("core: comm exposes no global tree")
+	// TreeUpDown names a child by node, so its parent edge is looked up by
+	// node; the tree spans every node.
+	p.parentEdge = make([]graph.EdgeID, len(p.tree.Members))
+	for i, v := range p.tree.Members {
+		p.parentEdge[v] = p.tree.ParentEdge[i]
 	}
-	p.tree = gt.GlobalTree()
 	return nil
 }
 
@@ -126,7 +133,7 @@ func (p *TreePrecond) Apply(c Comm, r []float64) ([]float64, error) {
 		func(_ int, v graph.NodeID) float64 { return rc[v] },
 		func(_ int, _ float64) float64 { return 0 },
 		func(_ int, _, child graph.NodeID, parentVal, childSubtree float64) float64 {
-			w := float64(g.Edge(p.tree.ParentEdge[child]).Weight)
+			w := float64(g.Edge(p.parentEdge[child]).Weight)
 			return parentVal + childSubtree/w
 		})
 	if err != nil {
@@ -162,9 +169,12 @@ type SchwarzPrecond struct {
 }
 
 // coverSlot locates a node within one cover, which is a partition: the
-// cluster holding the node (-1 if none does) and the node's position in
-// that cluster's tree Members.
-type coverSlot struct{ cluster, pos int32 }
+// cluster holding the node (-1 if none does), the node's position in that
+// cluster's tree Members and its parent edge in that tree (-1 at the
+// root). Setup checks that the edge is also the node's parent edge in
+// every other tree of the cover that holds it as a relay, so the sweep's
+// per-node callbacks can read it for any tree of the cover.
+type coverSlot struct{ cluster, pos, edge int32 }
 
 // at reports whether v belongs to cluster t (a relay of t's tree does not)
 // and, if so, v's position in trees[t].Members — the hot probe of every
@@ -234,7 +244,7 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	p.n = n
 	p.slot = make([]coverSlot, p.Overlap*n)
 	for i := range p.slot {
-		p.slot[i].cluster = -1
+		p.slot[i] = coverSlot{cluster: -1, edge: -1}
 	}
 	p.count = make([]float64, n)
 	for t, cl := range p.clusters {
@@ -250,7 +260,19 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	for t, tr := range p.trees {
 		for i, v := range tr.Members {
 			if s := &p.slot[int(p.cover[t])*n+v]; int(s.cluster) == t {
-				s.pos = int32(i)
+				s.pos, s.edge = int32(i), int32(tr.ParentEdge[i])
+			}
+		}
+	}
+	// A relay (a naive-mode Steiner tree's node outside the cluster) takes
+	// its parent edge from its own cluster's slot. That holds because every
+	// Steiner tree gives a node its global-tree parent edge; universal-mode
+	// cluster trees have no relays.
+	for t, tr := range p.trees {
+		for i, v := range tr.Members[1:] {
+			if e := p.slot[int(p.cover[t])*n+v].edge; int(e) != tr.ParentEdge[i+1] {
+				return fmt.Errorf("core: node %d has parent edge %d in cluster tree %d but %d in its own cluster's tree",
+					v, tr.ParentEdge[i+1], t, e)
 			}
 		}
 	}
@@ -271,9 +293,11 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 
 // sizeBytes returns the bytes held by the prepared cluster state.
 func (p *SchwarzPrecond) sizeBytes() int64 {
-	bytes := int64(24*cap(p.clusters) + 4*cap(p.cover) + 8*(cap(p.slot)+cap(p.trees)+cap(p.count)+cap(p.invDeg)))
+	bytes := graph.ArrayBytes(cap(p.clusters), 24) + graph.ArrayBytes(cap(p.cover), 4) +
+		graph.ArrayBytes(cap(p.slot), 12) + graph.ArrayBytes(cap(p.trees), 8) +
+		graph.ArrayBytes(cap(p.count), 8) + graph.ArrayBytes(cap(p.invDeg), 8)
 	for _, cl := range p.clusters {
-		bytes += int64(8 * cap(cl))
+		bytes += graph.ArrayBytes(cap(cl), 8)
 	}
 	for _, t := range p.trees {
 		bytes += t.SizeBytes()
@@ -325,7 +349,7 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 		},
 		func(_ int, _ float64) float64 { return 0 },
 		func(t int, _, child graph.NodeID, parentVal, childSubtree float64) float64 {
-			w := float64(g.Edge(p.trees[t].ParentEdge[child]).Weight)
+			w := float64(g.Edge(int(p.slot[int(p.cover[t])*p.n+child].edge)).Weight)
 			return parentVal + childSubtree/w
 		},
 	)

@@ -29,18 +29,25 @@ func allocBytes(runs int, f func()) float64 {
 	return least
 }
 
-// TestBFSTreeOfSubgraphAllocs holds the BFS tree of a 16-node part of a
-// 10⁴-node host to the returned tree's three n-long arrays plus
-// member-sized storage: no n- or m-sized scratch.
+// TestBFSTreeOfSubgraphAllocs holds the BFS tree of a 16-node part to
+// member-sized storage: the same bytes on a 10³-node and a 10⁴-node host,
+// within a per-member budget, so no allocation scales with the host.
 func TestBFSTreeOfSubgraphAllocs(t *testing.T) {
-	g, part := Grid(100, 100), blockPart()
-	treeArrays := allocBytes(20, func() { unrootedArrays(g.N()) })
-	got := allocBytes(20, func() { BFSTreeOfSubgraph(g, part, part[5]) })
+	part := blockPart()
+	treeBytes := func(rows int) float64 {
+		g := Grid(rows, 100)
+		return allocBytes(20, func() { BFSTreeOfSubgraph(g, part, part[5]) })
+	}
+	small, large := treeBytes(10), treeBytes(100)
 	const perMember = 128
-	budget := treeArrays + perMember*float64(len(part))
-	t.Logf("BFSTreeOfSubgraph: %.0f bytes; tree arrays %.0f, budget %.0f", got, treeArrays, budget)
-	if got > budget {
-		t.Fatalf("BFSTreeOfSubgraph of a %d-node part on n=%d allocates %.0f bytes, budget %.0f (tree arrays %.0f + %d/member)",
-			len(part), g.N(), got, budget, treeArrays, perMember)
+	budget := float64(perMember * len(part))
+	t.Logf("BFSTreeOfSubgraph: %.0f bytes at n=1000, %.0f at n=10000; budget %.0f", small, large, budget)
+	if small != large {
+		t.Fatalf("BFSTreeOfSubgraph allocates %.0f bytes at n=1000 but %.0f at n=10000: some storage scales with the host",
+			small, large)
+	}
+	if large > budget {
+		t.Fatalf("BFSTreeOfSubgraph of a %d-node part allocates %.0f bytes, budget %.0f (%d/member)",
+			len(part), large, budget, perMember)
 	}
 }

@@ -42,10 +42,11 @@ type CSR struct {
 	WDeg []float64 // length n
 }
 
-// SizeBytes returns the bytes held by the CSR's arrays.
+// SizeBytes returns the heap bytes held by the CSR's arrays.
 func (c *CSR) SizeBytes() int64 {
-	return int64(4*(cap(c.RowStart)+cap(c.HalfTo)+cap(c.HalfEdge)+cap(c.EdgeU)+cap(c.EdgeV)) +
-		8*(cap(c.HalfW)+cap(c.EdgeW)+cap(c.WDeg)))
+	return ArrayBytes(cap(c.RowStart), 4) + ArrayBytes(cap(c.HalfTo), 4) + ArrayBytes(cap(c.HalfEdge), 4) +
+		ArrayBytes(cap(c.EdgeU), 4) + ArrayBytes(cap(c.EdgeV), 4) +
+		ArrayBytes(cap(c.HalfW), 8) + ArrayBytes(cap(c.EdgeW), 8) + ArrayBytes(cap(c.WDeg), 8)
 }
 
 // N returns the number of nodes.

@@ -20,6 +20,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -67,14 +68,39 @@ func New(n int) *Graph {
 	}
 }
 
-// SizeBytes returns the bytes held by g's edge list and adjacency lists
-// (an Edge is 24 bytes, a Half 16, a slice header 24).
+// SizeBytes returns the heap bytes held by g's edge list and adjacency
+// lists (an Edge is 24 bytes, a Half 16, a slice header 24).
 func (g *Graph) SizeBytes() int64 {
-	bytes := int64(24*cap(g.edges) + 24*cap(g.adj))
+	bytes := ArrayBytes(cap(g.edges), 24) + ArrayBytes(cap(g.adj), 24)
 	for _, a := range g.adj {
-		bytes += int64(16 * cap(a))
+		bytes += ArrayBytes(cap(a), 16)
 	}
 	return bytes
+}
+
+// sizeClasses are the Go allocator's small-object size classes in bytes
+// (the runtime's sizeclasses.go).
+var sizeClasses = [...]int64{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
+	240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408,
+	1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192,
+	9472, 9728, 10240, 10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576, 27264,
+	28672, 32768}
+
+// ArrayBytes returns the heap bytes the Go allocator reserves for an array
+// of n elements of size bytes each: the smallest size class that holds
+// it, or whole 8 KB pages above 32 KB. The SizeBytes methods sum it per
+// array, so they count the heap a structure retains, not only the bytes
+// its arrays ask for.
+func ArrayBytes(n, size int) int64 {
+	bytes := int64(n) * int64(size)
+	if bytes == 0 {
+		return 0
+	}
+	if bytes > sizeClasses[len(sizeClasses)-1] {
+		return (bytes + 8191) &^ 8191
+	}
+	i, _ := slices.BinarySearch(sizeClasses[:], bytes)
+	return sizeClasses[i]
 }
 
 // Clone returns a deep copy of g.

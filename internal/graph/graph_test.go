@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,8 +279,8 @@ func TestBFSTree(t *testing.T) {
 	if total != 15 {
 		t.Fatalf("child-edges=%d, want 15", total)
 	}
-	for _, v := range tr.Members {
-		if v != tr.Root && tr.Depth[v] != tr.Depth[tr.Parent[v]]+1 {
+	for i, v := range tr.Members {
+		if v != tr.Root && tr.Depth[i] != tr.Depth[tr.ParentPos(i)]+1 {
 			t.Fatalf("depth invariant broken at %d", v)
 		}
 	}
@@ -290,13 +291,13 @@ func TestBFSTreeOfSubgraph(t *testing.T) {
 	// Two opposite corners plus a shortcut edge joining them directly.
 	g.MustAddEdge(0, 8, 1)
 	tr := BFSTreeOfSubgraph(g, []NodeID{0, 8}, 0)
-	if len(tr.Members) != 2 || tr.Depth[8] != 1 {
-		t.Fatalf("shortcut subtree wrong: members=%v depth8=%d", tr.Members, tr.Depth[8])
+	if len(tr.Members) != 2 || tr.Members[1] != 8 || tr.Depth[1] != 1 {
+		t.Fatalf("shortcut subtree wrong: members=%v depths=%v", tr.Members, tr.Depth)
 	}
 	// Without that edge the corners are separate (fresh grid, since g
 	// itself was augmented above).
 	tr2 := BFSTreeOfSubgraph(Grid(3, 3), []NodeID{0, 8}, 0)
-	if tr2.Contains(8) {
+	if slices.Contains(tr2.Members, 8) {
 		t.Fatal("unreachable member should not be in tree")
 	}
 }
@@ -350,16 +351,17 @@ func TestTreeFromEdgesAndPathInTree(t *testing.T) {
 	if len(tr.Members) != 9 {
 		t.Fatalf("members=%d", len(tr.Members))
 	}
-	p := PathInTree(tr, 0, 8)
-	if len(p) < 2 || p[0] != 0 || p[len(p)-1] != 8 {
+	pos := func(v NodeID) int { return slices.Index(tr.Members, v) }
+	p := PathInTree(tr, pos(0), pos(8))
+	if len(p) < 2 || tr.Members[p[0]] != 0 || tr.Members[p[len(p)-1]] != 8 {
 		t.Fatalf("path = %v", p)
 	}
 	for i := 0; i+1 < len(p); i++ {
-		if tr.Parent[p[i]] != p[i+1] && tr.Parent[p[i+1]] != p[i] {
-			t.Fatalf("path step %d-%d not a tree edge", p[i], p[i+1])
+		if tr.ParentPos(p[i]) != p[i+1] && tr.ParentPos(p[i+1]) != p[i] {
+			t.Fatalf("path step %d-%d not a tree edge", tr.Members[p[i]], tr.Members[p[i+1]])
 		}
 	}
-	if PathInTree(tr, 0, 0) == nil || len(PathInTree(tr, 3, 3)) != 1 {
+	if PathInTree(tr, pos(0), pos(0)) == nil || len(PathInTree(tr, pos(3), pos(3))) != 1 {
 		t.Fatal("trivial path wrong")
 	}
 }
@@ -443,10 +445,10 @@ func TestBFSTreeProperty(t *testing.T) {
 			return false
 		}
 		cnt := 0
-		for v := 0; v < n; v++ {
-			if tr.Parent[v] != -1 {
+		for i := range tr.Members {
+			if tr.ParentPos(i) != -1 {
 				cnt++
-				if tr.Depth[v] != tr.Depth[tr.Parent[v]]+1 {
+				if tr.Depth[i] != tr.Depth[tr.ParentPos(i)]+1 {
 					return false
 				}
 			}

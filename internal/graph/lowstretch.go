@@ -115,7 +115,7 @@ func (p *floatPQ) Pop() interface{} {
 func LowStretchTree(g *Graph, seed int64) *Tree {
 	n := g.N()
 	if n == 0 {
-		return &Tree{Parent: []NodeID{}, ParentEdge: []EdgeID{}, Depth: []int{}}
+		return &Tree{}
 	}
 	chosen := make(map[EdgeID]bool)
 	// current maps quotient-node -> original representative; membership via
@@ -175,11 +175,8 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 				continue
 			}
 			tr := BFSTreeOfSubgraph(q, cl, cl[0])
-			for _, v := range tr.Members {
-				if tr.Parent[v] == -1 {
-					continue
-				}
-				a, b := v, tr.Parent[v]
+			for i, a := range tr.Members[1:] {
+				b := tr.Members[tr.ParentPos(i+1)]
 				key := [2]int{min(a, b), max(a, b)}
 				orig := bestEdge[key]
 				e := g.Edge(orig)
@@ -218,16 +215,25 @@ func AverageStretch(g *Graph, t *Tree) float64 {
 	if g.M() == 0 {
 		return 0
 	}
+	// One n-long lookup from a node to its position in the tree, built
+	// once per call.
+	pos := make([]int, g.N())
+	for v := range pos {
+		pos[v] = -1
+	}
+	for i, v := range t.Members {
+		pos[v] = i
+	}
 	total := 0.0
 	for _, e := range g.Edges() {
-		path := PathInTree(t, e.U, e.V)
-		if path == nil {
+		if pos[e.U] < 0 || pos[e.V] < 0 {
 			return math.Inf(1)
 		}
+		path := PathInTree(t, pos[e.U], pos[e.V])
 		r := 0.0
 		for i := 0; i+1 < len(path); i++ {
 			child := path[i]
-			if t.Parent[child] != path[i+1] {
+			if t.ParentPos(child) != path[i+1] {
 				child = path[i+1]
 			}
 			r += 1 / float64(g.Edge(t.ParentEdge[child]).Weight)

@@ -15,7 +15,8 @@ type PartAdj struct {
 
 // NewPartAdj builds the adjacency of the subgraph of g induced by nodes,
 // which must be distinct. pos maps a host node to its position in nodes,
-// or to -1 for a node outside the list.
+// or to -1 for a node outside the list; ListPos builds such a lookup in
+// member-sized memory, at Θ(log k) per probe.
 //
 // Each position lists its half-edges in edge-first-seen order: an edge
 // joining two members enters the order when the member earlier in nodes is
@@ -67,12 +68,19 @@ func NewPartAdj(g *Graph, nodes []NodeID, pos func(NodeID) int) *PartAdj {
 	return a
 }
 
-// SortedPos returns the lookup NewPartAdj takes for a sorted list of
-// distinct nodes: a binary search, -1 for a node outside the list.
-func SortedPos(sorted []NodeID) func(NodeID) int {
+// ListPos returns a lookup from a node to its index in nodes, which must be
+// distinct, or -1 for a node outside the list: a binary search over the
+// keys node<<32 | index, sorted. It takes Θ(k log k) time and k words to
+// build for a list of k nodes, and Θ(log k) per probe.
+func ListPos(nodes []NodeID) func(NodeID) int {
+	keys := make([]int64, len(nodes))
+	for i, v := range nodes {
+		keys[i] = int64(v)<<32 | int64(i)
+	}
+	slices.Sort(keys)
 	return func(v NodeID) int {
-		if i, ok := slices.BinarySearch(sorted, v); ok {
-			return i
+		if i, _ := slices.BinarySearch(keys, int64(v)<<32); i < len(keys) && keys[i]>>32 == int64(v) {
+			return int(uint32(keys[i]))
 		}
 		return -1
 	}

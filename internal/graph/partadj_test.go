@@ -56,23 +56,28 @@ func refBFSTreeOfSubgraph(g *Graph, members []NodeID, extraEdges []EdgeID, root 
 		halfTo[next[e.V]], halfEdge[next[e.V]] = int32(e.U), int32(id)
 		next[e.V]++
 	}
-	parent, parentEdge, depth := unrootedArrays(n)
-	depth[root] = 0
+	// The reference keeps n-long state and converts to member positions
+	// only at the end.
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = -1
+	}
+	pos[root] = 0
 	queue := make([]NodeID, 0, len(members))
 	queue = append(queue, root)
+	up, parentEdge := []int32{-1}, []EdgeID{-1}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for i := start[v]; i < start[v+1]; i++ {
 			to := NodeID(halfTo[i])
-			if depth[to] == -1 {
-				depth[to] = depth[v] + 1
-				parent[to] = v
-				parentEdge[to] = EdgeID(halfEdge[i])
+			if pos[to] == -1 {
+				pos[to] = int32(len(queue))
+				up, parentEdge = append(up, int32(head)), append(parentEdge, EdgeID(halfEdge[i]))
 				queue = append(queue, to)
 			}
 		}
 	}
-	return newTree(queue, parent, parentEdge, depth)
+	return NewTree(slices.Clip(queue), slices.Clip(up), slices.Clip(parentEdge))
 }
 
 // sameTree fails t unless got and want agree on every field a caller can
@@ -80,12 +85,15 @@ func refBFSTreeOfSubgraph(g *Graph, members []NodeID, extraEdges []EdgeID, root 
 func sameTree(t *testing.T, got, want *Tree) {
 	t.Helper()
 	if got.Root != want.Root || !slices.Equal(got.Members, want.Members) ||
-		!slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.ParentEdge, want.ParentEdge) ||
-		!slices.Equal(got.Depth, want.Depth) || got.SizeBytes() != want.SizeBytes() {
+		!slices.Equal(got.ParentEdge, want.ParentEdge) || !slices.Equal(got.Depth, want.Depth) ||
+		got.SizeBytes() != want.SizeBytes() {
 		t.Fatalf("tree differs from reference:\n got  root=%d members=%v\n want root=%d members=%v",
 			got.Root, got.Members, want.Root, want.Members)
 	}
 	for i := range want.Members {
+		if got.ParentPos(i) != want.ParentPos(i) {
+			t.Fatalf("ParentPos(%d) = %d, reference %d", i, got.ParentPos(i), want.ParentPos(i))
+		}
 		if !slices.Equal(got.Kids(i), want.Kids(i)) {
 			t.Fatalf("Kids(%d) = %v, reference %v", i, got.Kids(i), want.Kids(i))
 		}
@@ -151,18 +159,18 @@ func TestBFSTreeOfSubgraphRootOutsideMembers(t *testing.T) {
 	g := Grid(3, 3)
 	for _, members := range [][]NodeID{{0, 1, 2}, nil} {
 		tr := BFSTreeOfSubgraph(g, members, 4)
-		if !slices.Equal(tr.Members, []NodeID{4}) || tr.Depth[4] != 0 || tr.Contains(0) || len(tr.Kids(0)) != 0 {
+		if !slices.Equal(tr.Members, []NodeID{4}) || tr.Depth[0] != 0 || slices.Contains(tr.Members, 0) || len(tr.Kids(0)) != 0 {
 			t.Fatalf("members %v, root 4: got tree %v", members, tr.Members)
 		}
 		sameTree(t, tr, refBFSTreeOfSubgraph(g, members, nil, 4))
 	}
 }
 
-// blockPart returns the 4×4 block of rows 40–43, columns 60–63 of a grid
-// 100 wide: a 16-node part inside a 10⁴-node host.
+// blockPart returns the 4×4 block of rows 4–7, columns 60–63 of a grid
+// 100 wide: a 16-node part inside a 10³- or a 10⁴-node host.
 func blockPart() []NodeID {
 	var part []NodeID
-	for r := 40; r < 44; r++ {
+	for r := 4; r < 8; r++ {
 		for c := 60; c < 64; c++ {
 			part = append(part, GridID(100, r, c))
 		}
@@ -173,7 +181,7 @@ func blockPart() []NodeID {
 var treeSink *Tree
 
 // BenchmarkBFSTreeOfSubgraph builds the BFS tree of a 16-node part of a
-// 10⁴-node grid: the returned tree's n-long arrays plus part-sized work.
+// 10⁴-node grid: part-sized work and a part-sized tree.
 func BenchmarkBFSTreeOfSubgraph(b *testing.B) {
 	g, part := Grid(100, 100), blockPart()
 	b.ReportAllocs()

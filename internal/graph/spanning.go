@@ -2,18 +2,17 @@ package graph
 
 import "sort"
 
-// Tree is a rooted tree of a graph, stored as parent pointers in the host
-// graph's node ID space plus a member-sized child index and parent
-// positions. Nodes outside the tree have Parent == -1 and Depth == -1.
-// Trees come from this package's constructors (NewTree, BFSTree,
-// BFSTreeOfSubgraph, TreeFromEdges, LowStretchTree), each of which builds
-// the member-sized index exactly once.
+// Tree is a rooted tree of a graph. Every array is indexed by position in
+// Members, so a tree holds Θ(|Members|) words whatever the host's size:
+// ParentEdge[i] and Depth[i] belong to Members[i], and the parent of
+// Members[i] is Members[ParentPos(i)]. Trees come from this package's
+// constructors (NewTree, BFSTree, BFSTreeOfSubgraph, TreeFromEdges,
+// LowStretchTree), each of which builds the child index exactly once.
 type Tree struct {
 	Root       NodeID
-	Parent     []NodeID // -1 for root and non-members
-	ParentEdge []EdgeID // host-graph edge to parent; -1 where Parent == -1
-	Depth      []int    // hop depth from root; -1 for non-members
 	Members    []NodeID // member nodes, Root first, every parent before its children
+	ParentEdge []EdgeID // host-graph edge to the parent; -1 at the root
+	Depth      []int    // hop depth from the root
 
 	// The children of Members[i] sit at positions kids[kidStart[i]:kidStart[i+1]]
 	// of Members, in Members order.
@@ -25,17 +24,10 @@ type Tree struct {
 // Height returns the maximum depth of any member.
 func (t *Tree) Height() int {
 	h := 0
-	for _, v := range t.Members {
-		if t.Depth[v] > h {
-			h = t.Depth[v]
-		}
+	for _, d := range t.Depth {
+		h = max(h, d)
 	}
 	return h
-}
-
-// Contains reports whether v is a member of the tree.
-func (t *Tree) Contains(v NodeID) bool {
-	return v >= 0 && v < len(t.Depth) && t.Depth[v] >= 0
 }
 
 // Kids returns the positions in Members of the children of Members[i], in
@@ -47,58 +39,39 @@ func (t *Tree) Kids(i int) []int32 { return t.kids[t.kidStart[i]:t.kidStart[i+1]
 // (-1 for the root).
 func (t *Tree) ParentPos(i int) int { return int(t.up[i]) }
 
-// SizeBytes returns the bytes held by the tree: its header and the
-// capacities of its arrays.
+// SizeBytes returns the heap bytes held by the tree: its header (Root and
+// six slice headers) and its arrays, the child index being one of them.
 func (t *Tree) SizeBytes() int64 {
-	const header = 8 + 7*24 // Root and seven slice headers
-	return header + int64(8*(cap(t.Parent)+cap(t.ParentEdge)+cap(t.Depth)+cap(t.Members))+
-		4*(cap(t.kidStart)+cap(t.kids)+cap(t.up)))
+	return ArrayBytes(1, 8+6*24) + ArrayBytes(cap(t.Members), 8) + ArrayBytes(cap(t.ParentEdge), 8) +
+		ArrayBytes(cap(t.Depth), 8) + ArrayBytes(cap(t.kidStart)+cap(t.kids), 4) + ArrayBytes(cap(t.up), 4)
 }
 
 // NewTree returns the tree whose members are members, rooted at
-// members[0], adopting the host-indexed parent pointers parent and
-// parentEdge (-1 at the root and at non-members). Every member's parent
-// must precede it in members. Depth and the child index are computed here.
-func NewTree(members []NodeID, parent []NodeID, parentEdge []EdgeID) *Tree {
-	depth := make([]int, len(parent))
-	for i := range depth {
-		depth[i] = -1
-	}
-	return newTree(members, parent, parentEdge, depth)
-}
-
-// newTree is NewTree over a caller-supplied depth array, which must be -1
-// at non-members. Its member slots are overwritten: first with each
-// member's position, so the child index is built from member-sized storage
-// alone, then with the member's depth.
-func newTree(members []NodeID, parent []NodeID, parentEdge []EdgeID, depth []int) *Tree {
-	t := &Tree{Root: members[0], Parent: parent, ParentEdge: parentEdge, Depth: depth, Members: members}
-	pos := depth
-	for i, v := range members {
-		pos[v] = i
-	}
+// members[0], adopting the member-indexed arrays up and parentEdge: up[i]
+// is the position in members of members[i]'s parent and parentEdge[i] the
+// host edge joining them (both -1 at the root). Every member's parent must
+// precede it in members. Depth and the child index are computed here.
+func NewTree(members []NodeID, up []int32, parentEdge []EdgeID) *Tree {
+	m := len(members)
+	t := &Tree{Root: members[0], Members: members, ParentEdge: parentEdge, Depth: make([]int, m), up: up}
 	// Count each member's children at its own slot, prefix-sum to range
 	// ends, then fill backwards so each range ends up in Members order and
 	// its slot holds the range start.
-	m := len(members)
-	idx := make([]int32, 3*m) // kidStart, kids and up in one allocation
-	t.kidStart, t.kids, t.up = idx[:m+1:m+1], idx[m+1:2*m:2*m], idx[2*m:]
-	t.up[0] = -1
-	for _, v := range members[1:] {
-		t.kidStart[pos[parent[v]]]++
+	idx := make([]int32, 2*m) // kidStart and kids in one allocation
+	t.kidStart, t.kids = idx[:m+1:m+1], idx[m+1:]
+	for _, p := range up[1:] {
+		t.kidStart[p]++
 	}
 	for i := 1; i <= m; i++ {
 		t.kidStart[i] += t.kidStart[i-1]
 	}
 	for j := m - 1; j > 0; j-- {
-		p := pos[parent[members[j]]]
-		t.up[j] = int32(p)
+		p := up[j]
 		t.kidStart[p]--
 		t.kids[t.kidStart[p]] = int32(j)
 	}
-	depth[members[0]] = 0
-	for _, v := range members[1:] {
-		depth[v] = depth[parent[v]] + 1
+	for j := 1; j < m; j++ {
+		t.Depth[j] = t.Depth[up[j]] + 1
 	}
 	return t
 }
@@ -106,7 +79,23 @@ func newTree(members []NodeID, parent []NodeID, parentEdge []EdgeID, depth []int
 // BFSTree returns the BFS spanning tree of root's component.
 func BFSTree(g *Graph, root NodeID) *Tree {
 	res := BFS(g, root)
-	return newTree(res.Order, res.Parent, res.ParentEdge, res.Dist)
+	pos := res.Dist // reused: each member's slot now holds its position
+	for i, v := range res.Order {
+		pos[v] = i
+	}
+	up, parentEdge := rootArrays(len(res.Order))
+	for i, v := range res.Order[1:] {
+		up[i+1], parentEdge[i+1] = int32(pos[res.Parent[v]]), res.ParentEdge[v]
+	}
+	return NewTree(res.Order, up, parentEdge)
+}
+
+// rootArrays returns member-indexed up and parent-edge arrays for an
+// m-member tree, with the root's entries set to -1.
+func rootArrays(m int) ([]int32, []EdgeID) {
+	up, parentEdge := make([]int32, m), make([]EdgeID, m)
+	up[0], parentEdge[0] = -1, -1
+	return up, parentEdge
 }
 
 // BFSTreeOfSubgraph returns the BFS tree, rooted at root, of the subgraph
@@ -117,43 +106,36 @@ func BFSTree(g *Graph, root NodeID) *Tree {
 // outside members yields the one-node tree {root}); members unreachable
 // from root are left out of the tree.
 //
-// The BFS runs on a PartAdj of members, with member-sized scratch, in
-// Θ(Σ deg(member)) time; only the returned tree's Parent, ParentEdge and
-// Depth arrays are n long, which makes the total Θ(n + Σ deg(member)).
-// Half-edges are visited in edge-first-seen order (see NewPartAdj), which
-// fixes the parent every BFS tie resolves to.
+// The BFS runs on a PartAdj of members, which finds a member by binary
+// search over a sorted index (ListPos); the scratch and the returned tree
+// are member-sized, so a call takes Θ(Σ deg(member) · log |members|) time
+// and Θ(Σ deg(member)) memory, never anything proportional to the host's
+// n. Half-edges are visited in edge-first-seen order (see NewPartAdj),
+// which fixes the parent every BFS tie resolves to.
 func BFSTreeOfSubgraph(g *Graph, members []NodeID, root NodeID) *Tree {
-	parent, parentEdge, depth := unrootedArrays(g.N())
-	// The depth slots hold each member's position until the BFS is done.
-	for i, v := range members {
-		depth[v] = i
+	pos := ListPos(members)
+	r := pos(root)
+	if r < 0 {
+		up, parentEdge := rootArrays(1)
+		return NewTree([]NodeID{root}, up, parentEdge)
 	}
-	var order, via []int32
-	if r := depth[root]; r >= 0 {
-		adj := NewPartAdj(g, members, func(v NodeID) int { return depth[v] })
-		via = make([]int32, len(members))
-		order = adj.BFS(r, make([]int32, len(members)), via, make([]int32, 0, len(members)))
+	k := len(members)
+	scratch := make([]int32, 3*k)
+	dist, via := scratch[:k], scratch[k:2*k]
+	order := NewPartAdj(g, members, pos).BFS(r, dist, via, scratch[2*k:2*k])
+	// dist is spent: its slot for each reached member now holds the
+	// member's position in the tree.
+	treePos := dist
+	tree := make([]NodeID, len(order))
+	up, parentEdge := rootArrays(len(order))
+	for j, i := range order {
+		treePos[i], tree[j] = int32(j), members[i]
+		if j > 0 {
+			e := EdgeID(via[i])
+			up[j], parentEdge[j] = treePos[pos(g.Other(e, members[i]))], e
+		}
 	}
-	for _, v := range members {
-		depth[v] = -1
-	}
-	tree := append(make([]NodeID, 0, len(members)), root)
-	for j := 1; j < len(order); j++ {
-		v, e := members[order[j]], EdgeID(via[order[j]])
-		parent[v], parentEdge[v] = g.Other(e, v), e
-		tree = append(tree, v)
-	}
-	return newTree(tree, parent, parentEdge, depth)
-}
-
-// unrootedArrays returns n-long parent, parent-edge and depth arrays with
-// every slot -1.
-func unrootedArrays(n int) ([]NodeID, []EdgeID, []int) {
-	parent, parentEdge, depth := make([]NodeID, n), make([]EdgeID, n), make([]int, n)
-	for i := 0; i < n; i++ {
-		parent[i], parentEdge[i], depth[i] = -1, -1, -1
-	}
-	return parent, parentEdge, depth
+	return NewTree(tree, up, parentEdge)
 }
 
 // UnionFind is a disjoint-set forest with union by rank and path halving.
@@ -242,48 +224,43 @@ func TreeFromEdges(g *Graph, edgeIDs []EdgeID, root NodeID) *Tree {
 		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
 		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
 	}
-	parent, parentEdge, depth := unrootedArrays(g.N())
-	depth[root] = 0
+	seen := map[NodeID]bool{root: true}
 	queue := []NodeID{root}
+	up, parentEdge := []int32{-1}, []EdgeID{-1}
 	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, h := range adj[v] {
-			if depth[h.To] == -1 {
-				depth[h.To] = depth[v] + 1
-				parent[h.To] = v
-				parentEdge[h.To] = h.Edge
+		for _, h := range adj[queue[head]] {
+			if !seen[h.To] {
+				seen[h.To] = true
 				queue = append(queue, h.To)
+				up, parentEdge = append(up, int32(head)), append(parentEdge, h.Edge)
 			}
 		}
 	}
-	return newTree(queue, parent, parentEdge, depth)
+	return NewTree(queue, up, parentEdge)
 }
 
-// PathInTree returns the node sequence from u up to the lowest common
-// ancestor of u and v and down to v along tree t (inclusive of endpoints).
-func PathInTree(t *Tree, u, v NodeID) []NodeID {
-	if !t.Contains(u) || !t.Contains(v) {
-		return nil
-	}
-	var up, down []NodeID
-	a, b := u, v
+// PathInTree returns the positions in t.Members on the tree path from
+// Members[i] up to the lowest common ancestor of Members[i] and Members[j]
+// and down to Members[j] (inclusive of endpoints).
+func PathInTree(t *Tree, i, j int) []int {
+	var up, down []int
+	a, b := i, j
 	for t.Depth[a] > t.Depth[b] {
 		up = append(up, a)
-		a = t.Parent[a]
+		a = t.ParentPos(a)
 	}
 	for t.Depth[b] > t.Depth[a] {
 		down = append(down, b)
-		b = t.Parent[b]
+		b = t.ParentPos(b)
 	}
 	for a != b {
 		up = append(up, a)
 		down = append(down, b)
-		a = t.Parent[a]
-		b = t.Parent[b]
+		a, b = t.ParentPos(a), t.ParentPos(b)
 	}
 	up = append(up, a) // LCA
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
+	for k := len(down) - 1; k >= 0; k-- {
+		up = append(up, down[k])
 	}
 	return up
 }

@@ -16,8 +16,11 @@ type BFSResult struct {
 // the paper's hop-diameter does).
 func BFS(g *Graph, root NodeID) *BFSResult {
 	n := g.N()
-	res := &BFSResult{Root: root, Order: make([]NodeID, 0, n)}
-	res.Parent, res.ParentEdge, res.Dist = unrootedArrays(n)
+	res := &BFSResult{Root: root, Order: make([]NodeID, 0, n),
+		Dist: make([]int, n), Parent: make([]NodeID, n), ParentEdge: make([]EdgeID, n)}
+	for v := 0; v < n; v++ {
+		res.Dist[v], res.Parent[v], res.ParentEdge[v] = -1, -1, -1
+	}
 	res.Dist[root] = 0
 	queue := []NodeID{root}
 	for len(queue) > 0 {
@@ -146,7 +149,7 @@ func InducedConnected(g *Graph, nodes []NodeID) bool {
 	if len(slices.Compact(sorted)) != len(nodes) {
 		return false
 	}
-	adj := NewPartAdj(g, sorted, SortedPos(sorted))
+	adj := NewPartAdj(g, sorted, ListPos(sorted))
 	return len(adj.BFS(0, make([]int32, len(sorted)), nil, nil)) == len(sorted)
 }
 
@@ -186,22 +189,22 @@ func ApproxCenterOf(g *Graph, nodes []NodeID) NodeID {
 		return 0
 	}
 	first := BFSTreeOfSubgraph(g, nodes, nodes[0])
-	u := nodes[0]
-	for _, v := range first.Members {
-		if first.Depth[v] > first.Depth[u] {
-			u = v
-		}
-	}
+	u := first.Members[farthest(first)]
 	second := BFSTreeOfSubgraph(g, nodes, u)
-	w := u
-	for _, v := range second.Members {
-		if second.Depth[v] > second.Depth[w] {
-			w = v
+	i := farthest(second)
+	for range second.Depth[i] / 2 {
+		i = second.ParentPos(i)
+	}
+	return second.Members[i]
+}
+
+// farthest returns the position of t's first member of greatest depth.
+func farthest(t *Tree) int {
+	far := 0
+	for i, d := range t.Depth {
+		if d > t.Depth[far] {
+			far = i
 		}
 	}
-	v := w
-	for i := 0; i < second.Depth[w]/2; i++ {
-		v = second.Parent[v]
-	}
-	return v
+	return far
 }

@@ -201,3 +201,36 @@ func RandomBVector(n int, seed int64) []float64 {
 	CenterMean(b)
 	return b
 }
+
+// SpectralBounds returns safe bounds on the nonzero Laplacian spectrum of a
+// connected graph: hi = 2·max weighted degree (Gershgorin), lo = a crude
+// algebraic-connectivity lower bound w_min·(2/(n·diamW))-ish; we use the
+// standard λ₂ ≥ 4/(n·D_w) bound with D_w ≤ n·w_max... kept deliberately
+// conservative: lo = 1/(n²·w_max⁻¹-free form) — callers who need tight
+// bounds should estimate them; these are safe defaults for Chebyshev iteration (internal/core).
+func SpectralBounds(l *Laplacian) (lo, hi float64) {
+	maxDeg := 0.0
+	for _, v := range l.CSR().WDeg {
+		if v > maxDeg {
+			maxDeg = v
+		}
+	}
+	n := float64(l.N())
+	if n < 2 {
+		return 1, 1
+	}
+	hi = 2 * maxDeg
+	// λ₂ >= 4 / (n * diam_w); diam_w <= n * max resistance-ish. Use the
+	// very safe 1/n² scaling with the minimum edge weight.
+	minW := math.Inf(1)
+	for _, w := range l.CSR().EdgeW {
+		if w < minW {
+			minW = w
+		}
+	}
+	if math.IsInf(minW, 1) {
+		minW = 1
+	}
+	lo = 4 * minW / (n * n)
+	return lo, hi
+}

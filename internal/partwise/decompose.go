@@ -52,17 +52,14 @@ func decomposePart(g *graph.Graph, part []graph.NodeID, partIdx int) ([]decompos
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		head := tr.Members[st.pos]
-		dp := decomposedPath{
-			part:       partIdx,
-			level:      st.level,
-			attach:     tr.Parent[head],
-			attachEdge: tr.ParentEdge[head],
+		dp := decomposedPath{part: partIdx, level: st.level, attach: -1, attachEdge: tr.ParentEdge[st.pos]}
+		if p := tr.ParentPos(st.pos); p >= 0 {
+			dp.attach = tr.Members[p]
 		}
 		for i := st.pos; i != -1; i = heavy[i] {
 			dp.nodes = append(dp.nodes, tr.Members[i])
 			if h := heavy[i]; h != -1 {
-				dp.edges = append(dp.edges, tr.ParentEdge[tr.Members[h]])
+				dp.edges = append(dp.edges, tr.ParentEdge[h])
 			}
 			for _, c := range tr.Kids(i) {
 				if int(c) != heavy[i] {

@@ -52,7 +52,6 @@ func SolveOneCongested(
 	// members[i] holds every node of part i's tree: true for the part's
 	// own nodes, false for relays.
 	members := make([]map[graph.NodeID]bool, len(parts))
-	var unrooted []graph.NodeID
 	for i, p := range parts {
 		members[i] = make(map[graph.NodeID]bool, len(p))
 		memberList := make([]graph.NodeID, 0, len(p))
@@ -70,20 +69,6 @@ func SolveOneCongested(
 					memberList = append(memberList, x)
 				}
 			}
-		}
-		// A one-member tree needs no BFS, and its Parent and ParentEdge
-		// are all -1: the call's one-member trees share one such array
-		// (trees are never written), so a phase of singleton parts does
-		// not allocate two n-long arrays per part.
-		if len(memberList) == 1 {
-			if unrooted == nil {
-				unrooted = make([]graph.NodeID, g.N())
-				for v := range unrooted {
-					unrooted[v] = -1
-				}
-			}
-			trees[i] = graph.NewTree(memberList, unrooted, unrooted)
-			continue
 		}
 		trees[i] = graph.BFSTreeOfSubgraph(g, memberList, p[0])
 		if len(trees[i].Members) != len(memberList) {

@@ -69,8 +69,9 @@ func (b SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut
 		Extra:   make([][]graph.EdgeID, len(parts)),
 		Builder: "steiner-tree",
 	}
+	pos := graph.ListPos(tree.Members)
 	for i, p := range parts {
-		s.Extra[i] = steinerSubtreeEdges(tree, p)
+		s.Extra[i] = steinerSubtreeEdges(tree, pos, p)
 	}
 	if err := Verify(g, s); err != nil {
 		return nil, err
@@ -84,24 +85,26 @@ func (b SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut
 // merged). Implemented by walking each terminal upward, stopping when
 // reaching an already-marked node; the union of walked edges, pruned so the
 // subtree does not extend above the shallowest meeting node, is the Steiner
-// subtree.
-func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.EdgeID {
+// subtree. pos maps a node to its position in tree.Members.
+func steinerSubtreeEdges(tree *graph.Tree, pos func(graph.NodeID) int, terminals []graph.NodeID) []graph.EdgeID {
 	if len(terminals) <= 1 {
 		return nil
 	}
 	// Mark upward paths.
 	marked := make(map[graph.NodeID]bool, len(terminals)*2)
 	var edges []graph.EdgeID
+	parentOf := make(map[graph.NodeID]graph.NodeID)
 	parentEdgeOf := make(map[graph.NodeID]graph.EdgeID)
 	for _, t := range terminals {
 		v := t
 		for !marked[v] {
 			marked[v] = true
-			p := tree.Parent[v]
-			if p == -1 {
-				break
+			i := pos(v)
+			if i <= 0 {
+				break // the root, or a node outside the tree
 			}
-			parentEdgeOf[v] = tree.ParentEdge[v]
+			p := tree.Members[tree.ParentPos(i)]
+			parentOf[v], parentEdgeOf[v] = p, tree.ParentEdge[i]
 			v = p
 		}
 	}
@@ -123,8 +126,8 @@ func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.Edg
 	slices.Sort(walked)
 	childCount := make(map[graph.NodeID]int)
 	for _, v := range walked {
-		if marked[tree.Parent[v]] {
-			childCount[tree.Parent[v]]++
+		if marked[parentOf[v]] {
+			childCount[parentOf[v]]++
 		}
 	}
 	// The union of upward walks is a subtree containing the root; only a
@@ -132,16 +135,17 @@ func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.Edg
 	// node is the minimum-depth marked node that is a terminal or has at
 	// least two marked children; every marked edge strictly above it is
 	// surplus and dropped.
+	depth := func(v graph.NodeID) int { return tree.Depth[pos(v)] }
 	meet := graph.NodeID(-1)
 	for _, v := range keys(marked) {
 		if isTerminal[v] || childCount[v] >= 2 {
-			if meet == -1 || tree.Depth[v] < tree.Depth[meet] {
+			if meet == -1 || depth(v) < depth(meet) {
 				meet = v
 			}
 		}
 	}
 	for _, v := range walked {
-		if meet != -1 && tree.Depth[v] <= tree.Depth[meet] {
+		if meet != -1 && depth(v) <= depth(meet) {
 			continue // edge from v to its parent lies above the meeting node
 		}
 		edges = append(edges, parentEdgeOf[v])

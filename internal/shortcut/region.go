@@ -34,7 +34,8 @@ type region struct {
 	nodes  []graph.NodeID
 	parent int // index into the regions slice; -1 for the root
 	depth  int
-	tree   *graph.Tree // BFS tree of the region's induced subgraph (lazy)
+	tree   *graph.Tree            // BFS tree of the region's induced subgraph (lazy)
+	pos    func(graph.NodeID) int // node → position in tree.Members (lazy)
 }
 
 // Build implements Builder.
@@ -90,8 +91,9 @@ func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut,
 			if len(reg.tree.Members) != len(reg.nodes) {
 				return nil, fmt.Errorf("shortcut: region %d disconnected", ri)
 			}
+			reg.pos = graph.ListPos(reg.tree.Members)
 		}
-		s.Extra[i] = steinerSubtreeEdges(reg.tree, p)
+		s.Extra[i] = steinerSubtreeEdges(reg.tree, reg.pos, p)
 	}
 	if err := Verify(g, s); err != nil {
 		return nil, err
@@ -159,8 +161,8 @@ func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
 	}
 	sep := make(map[graph.NodeID]bool)
 	var rest []graph.NodeID
-	for _, v := range tr.Members {
-		if tr.Depth[v] == sepDepth {
+	for i, v := range tr.Members {
+		if tr.Depth[i] == sepDepth {
 			sep[v] = true
 		} else {
 			rest = append(rest, v)

@@ -141,7 +141,7 @@ func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID
 	// Sorted once: a deterministic adjacency and sweep order.
 	slices.Sort(nodes)
 	nodes = slices.Compact(nodes)
-	pos := graph.SortedPos(nodes)
+	pos := graph.ListPos(nodes)
 	adj := graph.NewPartAdj(g, nodes, pos)
 	dist, order := make([]int32, len(nodes)), make([]int32, 0, len(nodes))
 	// The dilation certificate must be an upper bound. For small augmented

@@ -119,7 +119,7 @@ func TestSteinerSubtreePrunesAboveMeet(t *testing.T) {
 	g := graph.CompleteTree(2, 4) // 15 nodes, root 0
 	tree := graph.BFSTree(g, 0)
 	// Nodes 7..14 are leaves; 7 and 8 share parent 3.
-	edges := steinerSubtreeEdges(tree, []graph.NodeID{7, 8})
+	edges := steinerSubtreeEdges(tree, graph.ListPos(tree.Members), []graph.NodeID{7, 8})
 	if len(edges) != 2 {
 		t.Fatalf("steiner edges=%d, want 2 (7-3 and 8-3)", len(edges))
 	}
@@ -134,7 +134,7 @@ func TestSteinerSubtreePrunesAboveMeet(t *testing.T) {
 func TestSteinerSingletonTerminal(t *testing.T) {
 	g := graph.Path(5)
 	tree := graph.BFSTree(g, 0)
-	if edges := steinerSubtreeEdges(tree, []graph.NodeID{3}); edges != nil {
+	if edges := steinerSubtreeEdges(tree, graph.ListPos(tree.Members), []graph.NodeID{3}); edges != nil {
 		t.Fatalf("singleton should need no edges, got %v", edges)
 	}
 }
